@@ -68,7 +68,7 @@ pub fn fig4(quality: Quality) -> ExperimentOutput {
     // Measure the Equation-6 α realized by the backbone placement.
     let hosts = world.hosts().to_vec();
     let backbone_nodes = world.nodes_with_role(Role::Backbone);
-    let alpha = node_coverage(world.routing(), &hosts, &backbone_nodes, false);
+    let alpha = node_coverage(world.graph(), &hosts, &backbone_nodes, false);
 
     let t50 = |s: &dynaquar_epidemic::TimeSeries| s.time_to_reach(0.5);
     let t_no = t50(&no_rl.infected).unwrap_or(f64::INFINITY);

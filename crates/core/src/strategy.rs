@@ -142,12 +142,13 @@ pub fn build_plan(
             // paper's edge filter never throttles intra-subnet traffic.
             let graph = world.graph();
             let roles = world.roles();
+            let mut seen = vec![false; graph.edge_count()];
             let mut edges = Vec::new();
             for router in world.nodes_with_role(Role::EdgeRouter) {
                 for &nb in graph.neighbors(router) {
                     if roles[nb.index()] != Role::EndHost {
                         let e = graph.edge_between(router, nb).expect("incident edge");
-                        if !edges.contains(&e) {
+                        if !std::mem::replace(&mut seen[e.index()], true) {
                             edges.push(e);
                         }
                     }

@@ -7,6 +7,9 @@
 use crate::error::Error;
 use dynaquar_topology::routing::RoutingBackend;
 use dynaquar_topology::{EdgeId, Graph, NodeId};
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::Hash;
 
 /// Smallest weighted cap a limited link can receive (one packet per 100
 /// ticks) — prevents a zero-load link from blocking forever.
@@ -102,12 +105,62 @@ pub enum FilterDiscipline {
 pub struct RateLimitPlan {
     /// Per-link packet caps per tick (`EdgeId` -> cap). Unlisted links
     /// are unlimited.
-    link_caps: Vec<(EdgeId, f64)>,
+    link_caps: Entries<EdgeId, f64>,
     /// Per-node forwarding caps (packets forwarded per tick, transit
     /// only).
-    node_caps: Vec<(NodeId, f64)>,
+    node_caps: Entries<NodeId, f64>,
     /// Per-host egress filters.
-    host_filters: Vec<(NodeId, HostFilter)>,
+    host_filters: Entries<NodeId, HostFilter>,
+}
+
+/// Keyed plan entries in last-set order: setting a key again moves it to
+/// the end, exactly as removing it and pushing it would, in amortized
+/// `O(1)`. Formats as the plain entry list.
+#[derive(Clone)]
+struct Entries<K, V> {
+    /// Entries in set order; `None` marks one a later set superseded.
+    slots: Vec<Option<(K, V)>>,
+    /// Each live key's slot.
+    index: HashMap<K, usize>,
+}
+
+impl<K, V> Default for Entries<K, V> {
+    fn default() -> Self {
+        Entries {
+            slots: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash, V: Copy> Entries<K, V> {
+    fn set(&mut self, key: K, value: V) {
+        if let Some(old) = self.index.insert(key, self.slots.len()) {
+            self.slots[old] = None;
+        }
+        self.slots.push(Some((key, value)));
+        // Drop superseded slots once they outnumber live ones.
+        if self.slots.len() > 2 * self.index.len() {
+            self.slots.retain(Option::is_some);
+            for (i, &(k, _)) in self.slots.iter().flatten().enumerate() {
+                self.index.insert(k, i);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(K, V)> {
+        self.slots.iter().flatten()
+    }
+}
+
+impl<K: fmt::Debug + Copy + Eq + Hash, V: fmt::Debug + Copy> fmt::Debug for Entries<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl RateLimitPlan {
@@ -127,8 +180,7 @@ impl RateLimitPlan {
     /// Panics if `cap <= 0` or is not finite.
     pub fn limit_link(&mut self, edge: EdgeId, cap: f64) -> &mut Self {
         assert!(cap.is_finite() && cap > 0.0, "link cap must be positive");
-        self.link_caps.retain(|&(e, _)| e != edge);
-        self.link_caps.push((edge, cap));
+        self.link_caps.set(edge, cap);
         self
     }
 
@@ -163,16 +215,15 @@ impl RateLimitPlan {
     /// Panics if `cap <= 0` or is not finite.
     pub fn limit_node_forwarding(&mut self, node: NodeId, cap: f64) -> &mut Self {
         assert!(cap.is_finite() && cap > 0.0, "node cap must be positive");
-        self.node_caps.retain(|&(n, _)| n != node);
-        self.node_caps.push((node, cap));
+        self.node_caps.set(node, cap);
         self
     }
 
-    /// Installs an egress filter on each host in `hosts`.
+    /// Installs an egress filter on each host in `hosts` (later calls
+    /// override).
     pub fn filter_hosts(&mut self, hosts: &[NodeId], filter: HostFilter) -> &mut Self {
         for &h in hosts {
-            self.host_filters.retain(|&(n, _)| n != h);
-            self.host_filters.push((h, filter));
+            self.host_filters.set(h, filter);
         }
         self
     }
@@ -215,12 +266,13 @@ impl RateLimitPlan {
         base_cap: f64,
         normalization: Normalization,
     ) -> &mut Self {
-        // Collect the affected edges (deduplicated).
+        // Collect the affected edges (deduplicated, first-seen order).
+        let mut seen = vec![false; graph.edge_count()];
         let mut edges: Vec<EdgeId> = Vec::new();
         for &n in limited_nodes {
             for &nb in graph.neighbors(n) {
                 let e = graph.edge_between(n, nb).expect("incident edge");
-                if !edges.contains(&e) {
+                if !std::mem::replace(&mut seen[e.index()], true) {
                     edges.push(e);
                 }
             }
@@ -275,7 +327,7 @@ impl RateLimitPlan {
     /// period" semantics, and silently treating it as 1 (as the engine
     /// once did) hid the misconfiguration.
     pub fn validate(&self) -> Result<(), Error> {
-        for &(_, f) in &self.host_filters {
+        for &(_, f) in self.host_filters.iter() {
             if f.window_ticks == 0 {
                 return Err(Error::InvalidConfig {
                     name: "window_ticks",
@@ -311,7 +363,7 @@ impl RateLimitPlan {
     /// Materializes dense per-edge caps (`None` = unlimited).
     pub(crate) fn dense_link_caps(&self, graph: &Graph) -> Vec<Option<f64>> {
         let mut caps = vec![None; graph.edge_count()];
-        for &(e, c) in &self.link_caps {
+        for &(e, c) in self.link_caps.iter() {
             caps[e.index()] = Some(c);
         }
         caps
@@ -320,7 +372,7 @@ impl RateLimitPlan {
     /// Materializes dense per-node forwarding caps.
     pub(crate) fn dense_node_caps(&self, graph: &Graph) -> Vec<Option<f64>> {
         let mut caps = vec![None; graph.node_count()];
-        for &(n, c) in &self.node_caps {
+        for &(n, c) in self.node_caps.iter() {
             caps[n.index()] = Some(c);
         }
         caps
@@ -329,7 +381,7 @@ impl RateLimitPlan {
     /// Materializes dense per-node host filters.
     pub(crate) fn dense_host_filters(&self, graph: &Graph) -> Vec<Option<HostFilter>> {
         let mut filters = vec![None; graph.node_count()];
-        for &(n, f) in &self.host_filters {
+        for &(n, f) in self.host_filters.iter() {
             filters[n.index()] = Some(f);
         }
         filters
@@ -385,6 +437,55 @@ mod tests {
         let filters = p.dense_host_filters(&star.graph);
         assert!(filters[hosts[0].index()].is_some());
         assert!(filters[hosts[3].index()].is_none());
+    }
+
+    #[test]
+    fn overrides_and_duplicates_keep_last_set_order() {
+        let g = generators::ring(5).unwrap();
+        let e = |a: i32, b: i32| g.edge_between(a.into(), b.into()).unwrap();
+        let mut p = RateLimitPlan::none();
+        p.limit_link(e(0, 1), 1.0)
+            .limit_link(e(1, 2), 2.0)
+            .limit_link(e(2, 3), 3.0)
+            .limit_link(e(0, 1), 4.0)
+            .limit_link(e(2, 3), 5.0)
+            .limit_link(e(0, 1), 6.0);
+        p.limit_node_forwarding(3.into(), 1.0)
+            .limit_node_forwarding(1.into(), 2.0)
+            .limit_node_forwarding(3.into(), 3.0);
+        let f = HostFilter::dropping(5, 1);
+        p.filter_hosts(&[1.into(), 2.into(), 3.into(), 2.into()], f);
+        p.filter_hosts(&[4.into(), 1.into()], HostFilter::dropping(7, 2));
+        assert_eq!(p.limited_link_count(), 3);
+        assert_eq!(p.filtered_host_count(), 4);
+        // An override moves to the end; a duplicate in one batch keeps
+        // its last position. The `{:?}` form is part of the config
+        // fingerprint, so it is pinned verbatim.
+        let filter = |w, k| {
+            format!("HostFilter {{ window_ticks: {w}, max_new_targets: {k}, discipline: Drop }}")
+        };
+        let expected = format!(
+            "RateLimitPlan {{ \
+             link_caps: [(EdgeId(1), 2.0), (EdgeId(2), 5.0), (EdgeId(0), 6.0)], \
+             node_caps: [(NodeId(1), 2.0), (NodeId(3), 3.0)], \
+             host_filters: [(NodeId(3), {}), (NodeId(2), {}), (NodeId(4), {}), (NodeId(1), {})] }}",
+            filter(5, 1),
+            filter(5, 1),
+            filter(7, 2),
+            filter(7, 2),
+        );
+        assert_eq!(format!("{p:?}"), expected);
+    }
+
+    #[test]
+    fn filtering_a_hundred_thousand_hosts() {
+        let hosts: Vec<NodeId> = (0..100_000u32).map(NodeId::new).collect();
+        let mut p = RateLimitPlan::none();
+        p.filter_hosts(&hosts, HostFilter::dropping(5, 1));
+        p.filter_hosts(&hosts[..50_000], HostFilter::dropping(5, 2));
+        assert_eq!(p.filtered_host_count(), 100_000);
+        let firsts: Vec<NodeId> = p.host_filters.iter().take(2).map(|&(h, _)| h).collect();
+        assert_eq!(firsts, [NodeId::new(50_000), NodeId::new(50_001)]);
     }
 
     #[test]

@@ -332,6 +332,12 @@ impl Csr {
         &self.targets[self.offsets[u]..self.offsets[u + 1]]
     }
 
+    /// The neighbors of node `u` paired with their flat entry index
+    /// (`0..entry_count()`), for per-entry side arrays.
+    pub(crate) fn entries(&self, u: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
+        (self.offsets[u]..).zip(self.neighbors(u).iter().copied())
+    }
+
     /// The degree of node `u`.
     ///
     /// # Panics

@@ -529,7 +529,8 @@ mod tests {
             (RoutingBackend::average_path_length(&lazy) - dense.average_path_length()).abs()
                 < 1e-12
         );
-        assert_eq!(RoutingBackend::link_loads(&lazy, &g), dense.link_loads(&g));
+        // `link_loads` reads no backend state; `tests/routing_oracle.rs`
+        // pins it against hop-by-hop walks over this backend.
         assert_eq!(
             RoutingBackend::path(&lazy, 3.into(), 31.into()),
             dense.path(3.into(), 31.into())

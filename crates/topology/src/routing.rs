@@ -4,8 +4,8 @@
 //! algorithm through the network" and weights each rate-limited link's
 //! budget "proportional to the number of routing table entries the link
 //! occupies". [`RoutingTable`] precomputes all-pairs next hops by running
-//! one BFS per node, and [`RoutingTable::link_loads`] counts, for every
-//! link, how many ordered node pairs route across it.
+//! one BFS per node, and [`link_loads`] counts, for every link, how many
+//! ordered node pairs route across it.
 //!
 //! Routing is consumed through the [`RoutingBackend`] trait, which the
 //! dense table implements alongside the memory-bounded
@@ -24,6 +24,12 @@
 //! adjacency-list serial loop as the independent oracle the differential
 //! suite (`tests/routing_oracle.rs`) pins every other construction
 //! against.
+//!
+//! Link loads and path coverage are sums over the same per-destination
+//! BFS trees (`sum_over_trees`): one `O(n + m)` BFS plus one sweep of
+//! the tree per destination, `O(n · (n + m))` in all, with no per-hop
+//! routing queries or edge-id hashing. The same suite checks them
+//! against hop-by-hop path walks.
 
 use crate::error::Error;
 use crate::graph::{Csr, EdgeId, Graph, NodeId};
@@ -161,6 +167,128 @@ pub(crate) fn bfs_fill_row<C: PackedCell>(
     }
 }
 
+/// One destination's BFS tree, grown by [`bfs_fill_row`]'s rule
+/// (neighbors in [`Csr`] order, level by level, parent on first
+/// discovery), so its parents are every backend's next hops.
+pub(crate) struct DstTree {
+    /// Reached nodes in discovery order; `order[0]` is the root.
+    pub(crate) order: Vec<u32>,
+    /// Each reached node's next hop toward the root (the root is its own
+    /// parent, [`NO_HOP`] marks unreached nodes).
+    pub(crate) parent: Vec<u32>,
+    /// The edge id from each reached non-root node to its parent.
+    pub(crate) parent_edge: Vec<u32>,
+}
+
+impl DstTree {
+    fn new(n: usize) -> Self {
+        DstTree {
+            order: Vec::with_capacity(n),
+            parent: vec![NO_HOP; n],
+            parent_edge: vec![0; n],
+        }
+    }
+
+    /// Whether `v` is reachable from the current root.
+    #[inline]
+    pub(crate) fn reached(&self, v: u32) -> bool {
+        self.parent[v as usize] != NO_HOP
+    }
+
+    /// Regrows the tree rooted at `dst`. `edge_ids` maps each CSR entry
+    /// to its edge id. The discovery order doubles as the FIFO queue,
+    /// whose pop order equals the level-synchronous frontier order.
+    fn grow(&mut self, csr: &Csr, edge_ids: &[u32], dst: u32) {
+        self.parent.fill(NO_HOP);
+        self.order.clear();
+        self.parent[dst as usize] = dst;
+        self.order.push(dst);
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            for (k, v) in csr.entries(u as usize) {
+                if self.parent[v as usize] == NO_HOP {
+                    self.parent[v as usize] = u;
+                    self.parent_edge[v as usize] = edge_ids[k];
+                    self.order.push(v);
+                }
+            }
+        }
+    }
+}
+
+/// Sums a `width`-long `u64` vector over the BFS trees rooted at each of
+/// `dsts` (duplicates included), fanning destination ranges out over
+/// `pool`.
+///
+/// `visit(tree, scratch, acc)` adds one tree's contribution to `acc`;
+/// `scratch` is an `n`-long buffer whose contents are undefined on
+/// entry. Integer partials make the sum identical at any thread count.
+pub(crate) fn sum_over_trees<F>(
+    graph: &Graph,
+    dsts: &[NodeId],
+    width: usize,
+    pool: &ParallelConfig,
+    visit: F,
+) -> Vec<u64>
+where
+    F: Fn(&DstTree, &mut [u64], &mut [u64]) + Sync,
+{
+    let csr = Csr::from_graph(graph);
+    let n = csr.node_count();
+    // CSR-aligned: entry k of node u's neighbor list is edge_ids[k].
+    let edge_ids: Vec<u32> = graph
+        .nodes()
+        .flat_map(|u| graph.neighbors(u).iter().map(move |&v| graph.edge_between(u, v)))
+        .map(|e| e.expect("neighbors share an edge").index() as u32)
+        .collect();
+    let span = dsts.len().div_ceil(pool.threads() * 4).max(8);
+    let partials = ordered_map(pool, dsts.chunks(span).collect(), |_, chunk: &[NodeId]| {
+        let mut tree = DstTree::new(n);
+        let mut scratch = vec![0u64; n];
+        let mut acc = vec![0u64; width];
+        for &dst in chunk {
+            tree.grow(&csr, &edge_ids, dst.index() as u32);
+            visit(&tree, &mut scratch, &mut acc);
+        }
+        acc
+    });
+    let mut total = vec![0u64; width];
+    for partial in partials {
+        for (t, p) in total.iter_mut().zip(partial) {
+            *t += p;
+        }
+    }
+    total
+}
+
+/// Counts, for each edge, how many *ordered* node pairs route across it
+/// — the paper's "routing table entries" link weight — with the pool
+/// sized by `DYNAQUAR_THREADS` / available parallelism.
+pub fn link_loads(graph: &Graph) -> Vec<u64> {
+    link_loads_with(graph, &ParallelConfig::from_env())
+}
+
+/// [`link_loads`] with an explicit pool size.
+///
+/// Every source in a node's subtree of the tree rooted at `dst` routes
+/// through the node's parent edge, so one bottom-up sweep of subtree
+/// sizes per destination counts every pair. Cost is `O(n · (n + m))`.
+pub fn link_loads_with(graph: &Graph, pool: &ParallelConfig) -> Vec<u64> {
+    let nodes: Vec<NodeId> = graph.nodes().collect();
+    let edges = graph.edge_count();
+    sum_over_trees(graph, &nodes, edges, pool, |tree, sub, loads| {
+        for &v in &tree.order {
+            sub[v as usize] = 1;
+        }
+        for &v in tree.order[1..].iter().rev() {
+            let s = sub[v as usize];
+            loads[tree.parent_edge[v as usize] as usize] += s;
+            sub[tree.parent[v as usize] as usize] += s;
+        }
+    })
+}
+
 /// Builds the full destination-major packed table (`cells[dst * n + src]`)
 /// for every destination of `csr`, fanning per-destination BFS over
 /// `pool`.
@@ -228,11 +356,13 @@ fn fill_range_cells<C: PackedCell>(csr: &Csr, lo: usize, hi: usize, out: &mut Ve
 /// differential suite in `tests/routing_equivalence.rs` enforces it).
 ///
 /// The derived walks ([`path`](RoutingBackend::try_path),
-/// [`link_loads`](RoutingBackend::link_loads),
 /// [`diameter`](RoutingBackend::diameter), …) have default
 /// implementations in terms of the two required queries; they iterate
 /// destination-outer so cache-backed implementations serve each
-/// destination from one BFS.
+/// destination from one BFS. [`link_loads`](RoutingBackend::link_loads)
+/// needs no queries at all: every backend routes along the same BFS
+/// trees, which the [`link_loads`](crate::routing::link_loads) kernel
+/// regrows from the graph.
 pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
     /// Number of nodes the backend covers.
     fn node_count(&self) -> usize;
@@ -334,36 +464,12 @@ pub trait RoutingBackend: std::fmt::Debug + Send + Sync {
     }
 
     /// Counts, for each edge, how many *ordered* node pairs route across
-    /// it — the paper's "routing table entries" link weight.
-    ///
-    /// Cost is `O(n² · diameter)` next-hop queries, walked
-    /// destination-outer so a lazily cached backend pays one BFS per
-    /// destination.
+    /// it — the paper's "routing table entries" link weight. A thin call
+    /// to the [`link_loads`](crate::routing::link_loads) kernel, valid for every backend because all
+    /// of them route along the kernel's BFS trees.
     fn link_loads(&self, graph: &Graph) -> Vec<u64> {
-        let n = self.node_count();
-        let mut loads = vec![0u64; graph.edge_count()];
-        for dst in 0..n {
-            let d = NodeId::from(dst);
-            for src in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let s = NodeId::from(src);
-                if self.distance(s, d).is_none() {
-                    continue;
-                }
-                let mut cur = s;
-                while cur != d {
-                    let nxt = self.next_hop(cur, d).expect("finite distance");
-                    let edge = graph
-                        .edge_between(cur, nxt)
-                        .expect("next hop is a neighbor");
-                    loads[edge.index()] += 1;
-                    cur = nxt;
-                }
-            }
-        }
-        loads
+        debug_assert_eq!(self.node_count(), graph.node_count(), "backend/graph size");
+        link_loads(graph)
     }
 
     /// Average shortest-path length over all reachable ordered pairs.
@@ -434,10 +540,6 @@ impl RoutingBackend for RoutingTable {
 
     fn distance(&self, src: NodeId, dst: NodeId) -> Option<u32> {
         RoutingTable::distance(self, src, dst)
-    }
-
-    fn link_loads(&self, graph: &Graph) -> Vec<u64> {
-        RoutingTable::link_loads(self, graph)
     }
 
     fn average_path_length(&self) -> f64 {
@@ -694,36 +796,6 @@ impl RoutingTable {
         Ok(Some(path))
     }
 
-    /// Counts, for each edge, how many *ordered* node pairs route across
-    /// it — the paper's "routing table entries" link weight.
-    ///
-    /// Cost is `O(n² · diameter)`; at the paper's 1,000-node scale this
-    /// is a few million pointer chases.
-    pub fn link_loads(&self, graph: &Graph) -> Vec<u64> {
-        let mut loads = vec![0u64; graph.edge_count()];
-        for dst in 0..self.n {
-            for src in 0..self.n {
-                if src == dst {
-                    continue;
-                }
-                let (s, d) = (NodeId::from(src), NodeId::from(dst));
-                if self.distance(s, d).is_none() {
-                    continue;
-                }
-                let mut cur = s;
-                while cur != d {
-                    let nxt = self.next_hop(cur, d).expect("finite distance");
-                    let edge = graph
-                        .edge_between(cur, nxt)
-                        .expect("next hop is a neighbor");
-                    loads[edge.index()] += 1;
-                    cur = nxt;
-                }
-            }
-        }
-        loads
-    }
-
     /// Average shortest-path length over all reachable ordered pairs.
     pub fn average_path_length(&self) -> f64 {
         let mut total = 0u64;
@@ -846,8 +918,7 @@ mod tests {
     #[test]
     fn star_link_loads_are_uniform() {
         let star = generators::star(4).unwrap();
-        let rt = RoutingTable::shortest_paths(&star.graph);
-        let loads = rt.link_loads(&star.graph);
+        let loads = link_loads(&star.graph);
         // Each leaf link carries: hub<->leaf (2 ordered pairs) plus
         // leaf<->each other leaf (2 * 3 ordered pairs) = 8.
         assert!(loads.iter().all(|&l| l == 8));
@@ -861,8 +932,7 @@ mod tests {
             .hosts_per_subnet(5)
             .build()
             .unwrap();
-        let rt = RoutingTable::shortest_paths(&t.graph);
-        let loads = rt.link_loads(&t.graph);
+        let loads = link_loads(&t.graph);
         // The edge-router uplinks must beat any host access link.
         let uplink = t
             .graph

@@ -4,7 +4,7 @@ use dynaquar_topology::generators;
 use dynaquar_topology::generators_extra::{glp, waxman};
 use dynaquar_topology::paths::node_coverage;
 use dynaquar_topology::roles::{assign_by_degree, nodes_with_role, Role};
-use dynaquar_topology::routing::RoutingTable;
+use dynaquar_topology::routing::{link_loads, RoutingTable};
 use dynaquar_topology::NodeId;
 use proptest::prelude::*;
 
@@ -43,7 +43,7 @@ proptest! {
     fn link_loads_account_for_all_hops(seed in 0u64..100) {
         let g = generators::barabasi_albert(30, 2, seed).unwrap();
         let rt = RoutingTable::shortest_paths(&g);
-        let loads = rt.link_loads(&g);
+        let loads = link_loads(&g);
         let total_load: u64 = loads.iter().sum();
         let mut total_hops = 0u64;
         for a in 0..30usize {
@@ -61,15 +61,14 @@ proptest! {
     #[test]
     fn coverage_bounds(seed in 0u64..100, backbone_frac in 0.01..0.3f64) {
         let g = generators::barabasi_albert(60, 2, seed).unwrap();
-        let rt = RoutingTable::shortest_paths(&g);
         let roles = assign_by_degree(&g, backbone_frac, 0.1);
         let hosts = nodes_with_role(&roles, Role::EndHost);
         let filters = nodes_with_role(&roles, Role::Backbone);
-        let alpha = node_coverage(&rt, &hosts, &filters, false);
+        let alpha = node_coverage(&g, &hosts, &filters, false);
         prop_assert!((0.0..=1.0).contains(&alpha));
-        prop_assert_eq!(node_coverage(&rt, &hosts, &[], false), 0.0);
+        prop_assert_eq!(node_coverage(&g, &hosts, &[], false), 0.0);
         let everything: Vec<NodeId> = g.nodes().collect();
-        let full = node_coverage(&rt, &hosts, &everything, true);
+        let full = node_coverage(&g, &hosts, &everything, true);
         prop_assert_eq!(full, 1.0);
     }
 

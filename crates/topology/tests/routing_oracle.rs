@@ -20,6 +20,13 @@
 //! ordered `(src, dst)` pair on small worlds and a deterministic pair
 //! sample on large ones.
 //!
+//! The derived sums — [`link_loads`](routing::link_loads) and the
+//! Equation-6 coverage fractions in [`paths`] — regrow the same BFS
+//! trees from the graph instead of querying a backend. They are pinned
+//! here against hop-by-hop walks of every ordered pair's route over the
+//! serial oracle (and over the lazy and hier backends), at several pool
+//! sizes.
+//!
 //! This suite supersedes the pairwise dense-vs-lazy checks that lived
 //! in `routing_equivalence.rs` before the hier backend existed.
 
@@ -28,7 +35,8 @@ use dynaquar_topology::generators::{self, SubnetTopologyBuilder};
 use dynaquar_topology::generators_extra::{glp, waxman};
 use dynaquar_topology::hier::HierRouting;
 use dynaquar_topology::lazy::{LazyRouting, SHARD_THRESHOLD};
-use dynaquar_topology::routing::{RoutingBackend, RoutingTable};
+use dynaquar_topology::paths;
+use dynaquar_topology::routing::{self, RoutingBackend, RoutingTable};
 use dynaquar_topology::{Graph, NodeId};
 use proptest::prelude::*;
 
@@ -156,6 +164,149 @@ fn two_component_graph(n_a: usize, n_b: usize, seed: u64) -> Graph {
     g
 }
 
+/// Walks `src`'s route to `dst` hop by hop over `routing`, calling
+/// `hop(cur, next)` for every link crossed. Does nothing for
+/// unreachable pairs.
+fn walk_route(
+    routing: &dyn RoutingBackend,
+    src: NodeId,
+    dst: NodeId,
+    mut hop: impl FnMut(NodeId, NodeId),
+) {
+    if routing.distance(src, dst).is_none() {
+        return;
+    }
+    let mut cur = src;
+    while cur != dst {
+        let nxt = routing.next_hop(cur, dst).expect("finite distance");
+        hop(cur, nxt);
+        cur = nxt;
+    }
+}
+
+/// Oracle link loads: every ordered pair's route walked hop by hop,
+/// each hop's edge found by lookup. `O(n² · diameter)`.
+fn walked_link_loads(graph: &Graph, routing: &dyn RoutingBackend) -> Vec<u64> {
+    let mut loads = vec![0u64; graph.edge_count()];
+    for d in graph.nodes() {
+        for s in graph.nodes().filter(|&s| s != d) {
+            walk_route(routing, s, d, |a, b| {
+                loads[graph.edge_between(a, b).expect("hop is a neighbor").index()] += 1;
+            });
+        }
+    }
+    loads
+}
+
+/// Oracle [`paths::node_coverage`]: the fraction of ordered endpoint
+/// pairs whose walked route has a filtered transit hop (or a filtered
+/// endpoint, when `count_endpoints`).
+fn walked_node_coverage(
+    routing: &dyn RoutingBackend,
+    endpoints: &[NodeId],
+    filtered: &[NodeId],
+    count_endpoints: bool,
+) -> f64 {
+    if endpoints.len() < 2 {
+        return 0.0;
+    }
+    let (mut covered, mut total) = (0u64, 0u64);
+    for &d in endpoints {
+        for &s in endpoints.iter().filter(|&&s| s != d) {
+            total += 1;
+            if routing.distance(s, d).is_none() {
+                continue;
+            }
+            let mut hit = count_endpoints && (filtered.contains(&s) || filtered.contains(&d));
+            walk_route(routing, s, d, |_, b| hit |= b != d && filtered.contains(&b));
+            covered += u64::from(hit);
+        }
+    }
+    covered as f64 / total as f64
+}
+
+/// Oracle [`paths::link_coverage`]: the fraction of ordered endpoint
+/// pairs whose walked route crosses a masked edge.
+fn walked_link_coverage(
+    graph: &Graph,
+    routing: &dyn RoutingBackend,
+    endpoints: &[NodeId],
+    mask: &[bool],
+) -> f64 {
+    if endpoints.len() < 2 {
+        return 0.0;
+    }
+    let (mut covered, mut total) = (0u64, 0u64);
+    for &d in endpoints {
+        for &s in endpoints.iter().filter(|&&s| s != d) {
+            total += 1;
+            let mut hit = false;
+            walk_route(routing, s, d, |a, b| {
+                hit |= mask[graph.edge_between(a, b).expect("hop is a neighbor").index()];
+            });
+            covered += u64::from(hit);
+        }
+    }
+    covered as f64 / total as f64
+}
+
+/// Pool sizes the derived sums are checked at: serial, even splits, and
+/// a worker count that divides nothing evenly.
+const POOL_SIZES: [usize; 4] = [1, 2, 4, 7];
+
+/// Asserts the tree-sum kernels equal the walked oracles exactly on
+/// `g`, at every pool size: link loads, node coverage with and without
+/// endpoint counting, and link coverage. Endpoints skip every third
+/// node and repeat one node, so self-pairs and duplicate pairs are
+/// exercised; filters are a stride of nodes plus the highest-degree
+/// node, and the edge mask a stride of edges.
+fn assert_derived_sums_agree(g: &Graph) {
+    let oracle = RoutingTable::shortest_paths_serial(g);
+    let loads = walked_link_loads(g, &oracle);
+    let mut endpoints: Vec<NodeId> = g.nodes().filter(|v| v.index() % 3 != 0).collect();
+    if let Some(&first) = endpoints.first() {
+        endpoints.push(first);
+    }
+    let mut filtered: Vec<NodeId> = g.nodes().filter(|v| v.index() % 5 == 2).collect();
+    filtered.extend(g.nodes().max_by_key(|&v| g.degree(v)));
+    let mask: Vec<bool> = (0..g.edge_count()).map(|e| e % 4 == 1).collect();
+    let transit = walked_node_coverage(&oracle, &endpoints, &filtered, false);
+    let with_ends = walked_node_coverage(&oracle, &endpoints, &filtered, true);
+    let links = walked_link_coverage(g, &oracle, &endpoints, &mask);
+    for threads in POOL_SIZES {
+        let pool = ParallelConfig::new(threads);
+        let ctx = format!("@ {threads} threads");
+        assert_eq!(routing::link_loads_with(g, &pool), loads, "link loads {ctx}");
+        let node_cov =
+            |count_ends| paths::node_coverage_with(g, &endpoints, &filtered, count_ends, &pool);
+        assert_eq!(node_cov(false), transit, "transit node coverage {ctx}");
+        assert_eq!(node_cov(true), with_ends, "endpoint node coverage {ctx}");
+        let link_cov = paths::link_coverage_with(g, &endpoints, &mask, &pool);
+        assert_eq!(link_cov, links, "link coverage {ctx}");
+    }
+}
+
+/// One graph of the family indexed by `family` (star, BA, Waxman, GLP,
+/// hierarchical subnet world, disconnected), sized by `size`.
+fn family_graph(family: usize, size: usize, seed: u64) -> Graph {
+    match family {
+        0 => generators::star(size).unwrap().graph,
+        1 => generators::barabasi_albert(size.max(4), 1 + (seed % 3) as usize, seed).unwrap(),
+        2 => waxman(size.max(20), 0.05 + (seed % 8) as f64 * 0.1, 0.2, seed).unwrap(),
+        3 => glp(size.max(4), 2, 0.5, seed).unwrap(),
+        4 => {
+            SubnetTopologyBuilder::new()
+                .backbone_routers(1 + size % 4)
+                .subnets(1 + size % 8)
+                .hosts_per_subnet(1 + (seed % 5) as usize)
+                .build()
+                .unwrap()
+                .graph
+        }
+        _ => two_component_graph(2 + size / 2, 2 + size % 37, seed),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -213,6 +364,17 @@ proptest! {
         assert_all_pairs_agree(&topo.graph);
     }
 
+    /// Link loads and coverage from the tree-sum kernels equal the
+    /// hop-by-hop walks exactly, on every graph family and pool size.
+    #[test]
+    fn derived_sums_match_path_walks(
+        family in 0usize..6,
+        size in 1usize..=90,
+        seed in 0u64..500,
+    ) {
+        assert_derived_sums_agree(&family_graph(family, size, seed));
+    }
+
     /// Disconnected graphs: unreachable pairs answer `None` from every
     /// backend, reachable pairs stay identical.
     #[test]
@@ -256,4 +418,27 @@ fn large_subnet_world_matches_oracle_on_sampled_pairs() {
 fn large_power_law_matches_oracle_on_sampled_pairs() {
     let g = generators::barabasi_albert(1500, 2, 42).unwrap();
     assert_sampled_pairs_agree(&g, 1200);
+}
+
+/// The backend-level `link_loads` is the same kernel for every backend:
+/// walking the lazy (undersized cache) and hier backends' routes gives
+/// the loads the kernel computes from the graph alone.
+#[test]
+fn backend_link_loads_match_walks_over_each_backend() {
+    let g = generators::barabasi_albert(40, 2, 9).unwrap();
+    let topo = SubnetTopologyBuilder::new()
+        .backbone_routers(3)
+        .subnets(5)
+        .hosts_per_subnet(4)
+        .build()
+        .unwrap();
+    for g in [&g, &topo.graph] {
+        for (name, backend) in backends_under_test(g) {
+            assert_eq!(
+                backend.link_loads(g),
+                walked_link_loads(g, backend.as_ref()),
+                "{name}: link loads"
+            );
+        }
+    }
 }

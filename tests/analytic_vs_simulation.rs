@@ -248,7 +248,7 @@ fn backbone_model_matches_measured_alpha() {
     let world = spec.build();
     let hosts = world.hosts().to_vec();
     let backbone = world.nodes_with_role(Role::Backbone);
-    let alpha = node_coverage(world.routing(), &hosts, &backbone, false);
+    let alpha = node_coverage(world.graph(), &hosts, &backbone, false);
     assert!(alpha > 0.5, "power-law backbone should cover most paths");
 
     let n = hosts.len() as f64;
