@@ -4,7 +4,7 @@
 //! ```text
 //! scale_bench [--sizes N,N,..] [--horizon T] [--seed S] [--initial I]
 //!             [--strategy tick|event] [--dense-limit N] [--full]
-//!             [--cache N] [--out FILE] [--check FILE] [--tolerance PCT]
+//!             [--out FILE] [--check FILE] [--tolerance PCT]
 //!             [--smoke N --max-rss-mb MB]
 //! scale_bench --event-bench FILE [--sizes N,N,..] ...
 //! scale_bench --check-event FILE [--tolerance PCT]
@@ -101,7 +101,6 @@ struct Args {
     beta: f64,
     dense_limit: usize,
     full: bool,
-    cache: Option<usize>,
     out: PathBuf,
     check: Option<PathBuf>,
     tolerance_pct: f64,
@@ -133,7 +132,6 @@ fn parse_args() -> Result<Args, String> {
         beta: 0.2,
         dense_limit: 10_000,
         full: false,
-        cache: None,
         out: PathBuf::from("results/BENCH_scale.json"),
         check: None,
         tolerance_pct: 30.0,
@@ -174,7 +172,6 @@ fn parse_args() -> Result<Args, String> {
                 args.dense_limit = value("--dense-limit")?.parse().map_err(|e| format!("{e}"))?
             }
             "--full" => args.full = true,
-            "--cache" => args.cache = Some(value("--cache")?.parse().map_err(|e| format!("{e}"))?),
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--check" => args.check = Some(PathBuf::from(value("--check")?)),
             "--tolerance" => {
@@ -215,7 +212,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: scale_bench [--sizes N,N,..] [--horizon T] [--seed S] \
                      [--initial I] [--beta B] [--strategy tick|event] [--dense-limit N] [--full] \
-                     [--cache N] [--out FILE] [--check FILE] [--tolerance PCT] \
+                     [--out FILE] [--check FILE] [--tolerance PCT] \
                      [--smoke N --max-rss-mb MB] [--event-bench FILE] [--check-event FILE] \
                      [--routing-bench FILE] [--check-routing FILE] [--subnet B,S,H] \
                      [--shard-bench FILE] [--check-shard FILE] [--shards N]"
@@ -250,15 +247,11 @@ fn peak_rss_mb() -> f64 {
     0.0
 }
 
-/// The [`RoutingKind`] for a named backend; the lazy cache defaults to
-/// the same memory-budgeted capacity `Auto` would pick for `hosts`.
-fn routing_kind(backend: &str, hosts: usize, cache: Option<usize>) -> Result<RoutingKind, String> {
+/// The [`RoutingKind`] for a named backend.
+fn routing_kind(backend: &str) -> Result<RoutingKind, String> {
     match backend {
         "dense" => Ok(RoutingKind::Dense),
-        "lazy" => Ok(RoutingKind::Lazy {
-            max_cached_destinations: cache
-                .unwrap_or_else(|| dynaquar_topology::lazy::default_cache_capacity(hosts)),
-        }),
+        "lazy" => Ok(RoutingKind::Lazy),
         "hier" => Ok(RoutingKind::Hier),
         other => Err(format!("unknown backend {other} (want dense|lazy|hier)")),
     }
@@ -363,7 +356,7 @@ fn run_case(
 
 /// Child-process mode: run one case, print one JSON row on stdout.
 fn run_single(hosts: usize, backend: &str, args: &Args) -> Result<(), String> {
-    let kind = routing_kind(backend, hosts, args.cache)?;
+    let kind = routing_kind(backend)?;
     let (build_secs, run_secs, host_count, result) = run_case(hosts, kind, args.strategy, args);
     let row = CaseResult {
         hosts,
@@ -404,9 +397,6 @@ fn spawn_case(
         .arg(args.initial.to_string())
         .arg("--beta")
         .arg(args.beta.to_string());
-    if let Some(cache) = args.cache {
-        cmd.arg("--cache").arg(cache.to_string());
-    }
     if let Some((b, s, h)) = args.subnet {
         cmd.arg("--subnet").arg(format!("{b},{s},{h}"));
     }
@@ -466,14 +456,7 @@ fn find_strategy_row<'t>(
 /// SimResults on the same n = 1000 world-seed-config triple.
 fn backends_bit_identical(args: &Args) -> bool {
     let (_, _, _, dense) = run_case(1_000, RoutingKind::Dense, args.strategy, args);
-    let (_, _, _, lazy) = run_case(
-        1_000,
-        RoutingKind::Lazy {
-            max_cached_destinations: 64,
-        },
-        args.strategy,
-        args,
-    );
+    let (_, _, _, lazy) = run_case(1_000, RoutingKind::Lazy, args.strategy, args);
     let (_, _, _, hier) = run_case(1_000, RoutingKind::Hier, args.strategy, args);
     dense == lazy && dense == hier
 }
@@ -485,14 +468,7 @@ fn subnet_backends_bit_identical(args: &Args) -> bool {
     sub.subnet = Some((3, 8, 60));
     let n = 3 + 8 * 61;
     let (_, _, _, dense) = run_case(n, RoutingKind::Dense, args.strategy, &sub);
-    let (_, _, _, lazy) = run_case(
-        n,
-        RoutingKind::Lazy {
-            max_cached_destinations: 64,
-        },
-        args.strategy,
-        &sub,
-    );
+    let (_, _, _, lazy) = run_case(n, RoutingKind::Lazy, args.strategy, &sub);
     let (_, _, _, hier) = run_case(n, RoutingKind::Hier, args.strategy, &sub);
     dense == lazy && dense == hier
 }
@@ -500,9 +476,7 @@ fn subnet_backends_bit_identical(args: &Args) -> bool {
 /// In-process differential: the tick and event stepping strategies must
 /// produce `==` SimResults on the same n = 1000 lazy world.
 fn strategies_bit_identical(args: &Args) -> bool {
-    let kind = RoutingKind::Lazy {
-        max_cached_destinations: 64,
-    };
+    let kind = RoutingKind::Lazy;
     let (_, _, _, tick) = run_case(1_000, kind, SimStrategy::Tick, args);
     let (_, _, _, event) = run_case(1_000, kind, SimStrategy::Event, args);
     tick == event
@@ -598,8 +572,8 @@ fn run_event_bench(out: &std::path::Path, args: &Args) -> ExitCode {
 /// The hierarchical worlds the routing bench sweeps: the paper-shaped
 /// subnet topology at n ≈ 10k, 100k, and 1M (`n = B + S·(H+1)`). All
 /// peel to their backbone ring, so the hier backend routes them off a
-/// tiny dense core table while lazy re-runs whole-graph BFS on every
-/// cache miss — the gap this bench exists to record.
+/// tiny dense core table while lazy runs a bidirectional search per
+/// hop — the gap this bench exists to record.
 const ROUTING_WORLDS: [(usize, usize, usize); 3] =
     [(8, 40, 250), (32, 400, 250), (64, 4000, 250)];
 
@@ -680,6 +654,7 @@ fn run_routing_bench(out: &std::path::Path, args: &Args) -> ExitCode {
             .join(", "),
     );
     json.push_str("],\n");
+    json.push_str(&format!("  \"hardware_threads\": {},\n", hardware_threads()));
     json.push_str(&format!("  \"horizon\": {},\n", args.horizon));
     json.push_str(&format!("  \"seed\": {},\n", args.seed));
     json.push_str(&format!("  \"initial_infected\": {},\n", args.initial));
@@ -1262,6 +1237,7 @@ fn main() -> ExitCode {
     json.push_str(&format!(
         "  \"topology\": \"barabasi_albert(m={EDGES_PER_NODE}, seed={GRAPH_SEED})\",\n"
     ));
+    json.push_str(&format!("  \"hardware_threads\": {},\n", hardware_threads()));
     json.push_str(&format!("  \"horizon\": {},\n", args.horizon));
     json.push_str(&format!("  \"seed\": {},\n", args.seed));
     json.push_str(&format!("  \"initial_infected\": {},\n", args.initial));

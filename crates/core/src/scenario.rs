@@ -249,7 +249,7 @@ impl Scenario {
     /// hierarchical backend (when degree-1 peeling leaves a dense-sized
     /// core) or the memory-bounded lazy backend; all backends produce
     /// bit-identical next hops, so this knob trades memory for
-    /// routing-cache work without changing any curve.
+    /// per-query search work without changing any curve.
     pub fn routing(mut self, routing: RoutingKind) -> Self {
         self.routing = routing;
         self
@@ -556,9 +556,7 @@ mod tests {
         let dense = base.clone().routing(RoutingKind::Dense).run_simulated();
         let lazy = base
             .clone()
-            .routing(RoutingKind::Lazy {
-                max_cached_destinations: 16,
-            })
+            .routing(RoutingKind::Lazy)
             .run_simulated();
         let hier = base.clone().routing(RoutingKind::Hier).run_simulated();
         let auto = base.run_simulated();
@@ -583,9 +581,7 @@ mod tests {
         let dense = base.clone().routing(RoutingKind::Dense).run_simulated();
         let lazy = base
             .clone()
-            .routing(RoutingKind::Lazy {
-                max_cached_destinations: 16,
-            })
+            .routing(RoutingKind::Lazy)
             .run_simulated();
         let hier = base.clone().routing(RoutingKind::Hier).run_simulated();
         assert_eq!(dense, lazy);

@@ -1392,30 +1392,23 @@ fn quarantine_from(v: &Value) -> Result<QuarantineConfig, SpecError> {
 }
 
 fn routing_from(v: &Value) -> Result<RoutingKind, SpecError> {
-    match v {
-        Value::Str(s) => match s.as_str() {
-            "auto" => Ok(RoutingKind::Auto),
-            "dense" => Ok(RoutingKind::Dense),
-            "hier" => Ok(RoutingKind::Hier),
-            other => Err(SpecError::InvalidValue {
-                field: "routing".to_string(),
-                reason: format!(
-                    "unknown routing {other:?} (expected auto, dense, hier, or {{ lazy = N }})"
-                ),
-            }),
-        },
-        Value::Object(entries) => {
-            check_known(entries, "routing", &["lazy"])?;
-            Ok(RoutingKind::Lazy {
-                max_cached_destinations: as_positive_usize(
-                    require(entries, "routing", "lazy")?,
-                    "routing.lazy",
-                )?,
-            })
-        }
-        _ => Err(SpecError::WrongType {
+    if let Value::Object(_) = v {
+        // A table is the lazy backend's removed `{ lazy = N }`
+        // capacity form: point at the string form instead of a bare
+        // type error.
+        return Err(SpecError::InvalidValue {
             field: "routing".to_string(),
-            expected: "a string or a table",
+            reason: "the lazy backend takes no options; write routing = \"lazy\"".to_string(),
+        });
+    }
+    match as_str(v, "routing")? {
+        "auto" => Ok(RoutingKind::Auto),
+        "dense" => Ok(RoutingKind::Dense),
+        "lazy" => Ok(RoutingKind::Lazy),
+        "hier" => Ok(RoutingKind::Hier),
+        other => Err(SpecError::InvalidValue {
+            field: "routing".to_string(),
+            reason: format!("unknown routing {other:?} (expected auto, dense, lazy, or hier)"),
         }),
     }
 }
@@ -1694,18 +1687,14 @@ fn params_to_value(p: &RateLimitParams) -> Result<Value, SpecError> {
     Ok(Value::Object(entries))
 }
 
-fn routing_to_value(r: &RoutingKind) -> Result<Value, SpecError> {
-    Ok(match r {
-        RoutingKind::Auto => Value::Str("auto".to_string()),
-        RoutingKind::Dense => Value::Str("dense".to_string()),
-        RoutingKind::Hier => Value::Str("hier".to_string()),
-        RoutingKind::Lazy {
-            max_cached_destinations,
-        } => Value::Object(vec![(
-            "lazy".to_string(),
-            int_from_usize(*max_cached_destinations, "routing.lazy")?,
-        )]),
-    })
+fn routing_to_value(r: &RoutingKind) -> Value {
+    let name = match r {
+        RoutingKind::Auto => "auto",
+        RoutingKind::Dense => "dense",
+        RoutingKind::Lazy => "lazy",
+        RoutingKind::Hier => "hier",
+    };
+    Value::Str(name.to_string())
 }
 
 /// Renders a [`Scenario`] as a spec document.
@@ -1760,7 +1749,7 @@ pub fn scenario_to_value(s: &Scenario) -> Result<Value, SpecError> {
     if let Some(threads) = s.parallelism {
         entries.push(("parallelism".to_string(), int_from_usize(threads, "parallelism")?));
     }
-    entries.push(("routing".to_string(), routing_to_value(&s.routing)?));
+    entries.push(("routing".to_string(), routing_to_value(&s.routing)));
     entries.push((
         "strategy".to_string(),
         Value::Str(
@@ -1964,9 +1953,7 @@ pub fn presets() -> Vec<Preset> {
                 .behavior(WormBehavior::random().with_scan_rate(3))
                 .beta(0.6)
                 .horizon(80)
-                .routing(RoutingKind::Lazy {
-                    max_cached_destinations: 16,
-                }),
+                .routing(RoutingKind::Lazy),
         ),
         preset(
             "fig10",
@@ -2193,6 +2180,34 @@ mod tests {
             scenario_from_json(&base(r#""shards": 0"#)).unwrap_err(),
             SpecError::InvalidValue { field, .. } if field == "shards"
         ));
+    }
+
+    #[test]
+    fn lazy_routing_is_a_string_and_the_capacity_table_is_rejected() {
+        let spec = |routing: &str| {
+            format!(r#"{{"topology": {{"kind": "star", "leaves": 49}}, "routing": {routing}}}"#)
+        };
+        let scenario = scenario_from_json(&spec(r#""lazy""#)).unwrap();
+        assert_eq!(scenario.routing, RoutingKind::Lazy);
+        let json = scenario_to_json(&scenario).unwrap();
+        assert!(json.contains(r#""lazy""#), "{json}");
+        assert_eq!(scenario_from_json(&json).unwrap(), scenario);
+        let toml = scenario_to_toml(&scenario).unwrap();
+        assert!(toml.contains(r#""lazy""#), "{toml}");
+        assert_eq!(scenario_from_toml(&toml).unwrap(), scenario);
+        let toml = "routing = { lazy = 16 }\n[topology]\nkind = \"star\"\nleaves = 49\n";
+        for err in [
+            scenario_from_json(&spec(r#"{"lazy": 16}"#)).unwrap_err(),
+            scenario_from_toml(toml).unwrap_err(),
+        ] {
+            match err {
+                SpecError::InvalidValue { field, reason } => {
+                    assert_eq!(field, "routing");
+                    assert!(reason.contains(r#"routing = "lazy""#), "{reason}");
+                }
+                other => panic!("expected InvalidValue, got {other:?}"),
+            }
+        }
     }
 
     #[test]

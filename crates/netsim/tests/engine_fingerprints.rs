@@ -305,16 +305,10 @@ fn power_law_1000_dense_backend_is_bit_identical() {
 
 #[test]
 fn power_law_1000_lazy_backend_is_bit_identical() {
-    // An 87-destination cache on a 1000-node world: far under the
-    // active destination set, so the run exercises constant eviction
-    // and recomputation — and still reproduces the dense fingerprint.
+    // Every hop of every packet is a fresh bidirectional search, and
+    // the run still reproduces the dense fingerprint.
     for strategy in STRATEGIES {
-        let r = power_law_1000_run(
-            dynaquar_topology::lazy::RoutingKind::Lazy {
-                max_cached_destinations: 87,
-            },
-            strategy,
-        );
+        let r = power_law_1000_run(dynaquar_topology::lazy::RoutingKind::Lazy, strategy);
         assert_power_law_1000_fingerprint(&r);
     }
 }
@@ -333,12 +327,7 @@ fn power_law_1000_hier_backend_is_bit_identical() {
 #[test]
 fn power_law_1000_backends_produce_equal_results() {
     let dense = power_law_1000_run(dynaquar_topology::lazy::RoutingKind::Dense, SimStrategy::Tick);
-    let lazy = power_law_1000_run(
-        dynaquar_topology::lazy::RoutingKind::Lazy {
-            max_cached_destinations: 87,
-        },
-        SimStrategy::Event,
-    );
+    let lazy = power_law_1000_run(dynaquar_topology::lazy::RoutingKind::Lazy, SimStrategy::Event);
     assert_eq!(
         dense, lazy,
         "routing backend × stepping strategy diverged on the n=1000 run"
@@ -397,11 +386,9 @@ fn subnet_20k_run(routing: RoutingKind, strategy: SimStrategy) -> SimResult {
 
 #[test]
 fn subnet_20k_is_bit_identical_across_routing_and_strategies() {
-    // A 600-destination cache on a 20k-node world keeps the lazy legs
-    // evicting; the hier legs route through the 16-node core table.
-    let lazy = RoutingKind::Lazy {
-        max_cached_destinations: 600,
-    };
+    // The lazy legs search the whole 20k-node world per hop; the hier
+    // legs route through the 16-node core table.
+    let lazy = RoutingKind::Lazy;
     let mut results = Vec::new();
     for strategy in STRATEGIES {
         for routing in [lazy, RoutingKind::Hier] {

@@ -195,9 +195,7 @@ fn resume_matrix_across_strategy_and_routing() {
     let mut results: Vec<SimResult> = Vec::new();
     for routing in [
         RoutingKind::Dense,
-        RoutingKind::Lazy {
-            max_cached_destinations: 16,
-        },
+        RoutingKind::Lazy,
         RoutingKind::Hier,
     ] {
         let world = World::from_power_law_with(graph.clone(), 0.05, 0.10, routing);
@@ -237,8 +235,8 @@ fn resume_matrix_across_strategy_and_routing() {
 
 /// A snapshot taken on a world routed by one backend resumes on a
 /// world routed by a *different* backend with no divergence: routing
-/// caches are pure-function state (deliberately excluded from the
-/// snapshot), and the world fingerprint is structural — so like
+/// state is a pure function of the graph (deliberately excluded from
+/// the snapshot), and the world fingerprint is structural — so like
 /// cross-strategy migration, cross-routing-kind resume is legitimate.
 #[test]
 fn cross_routing_kind_resume_is_bit_identical() {
@@ -251,9 +249,7 @@ fn cross_routing_kind_resume_is_bit_identical() {
             .unwrap();
         World::from_subnets_with(topo, routing)
     };
-    let lazy = RoutingKind::Lazy {
-        max_cached_destinations: 8,
-    };
+    let lazy = RoutingKind::Lazy;
     let cfg = |strategy: SimStrategy| {
         SimConfig::builder()
             .beta(0.9)

@@ -1,38 +1,36 @@
-//! Memory-bounded lazy routing: per-destination BFS behind a bounded,
-//! sharded LRU cache.
+//! Memory-bounded lazy routing: each query answered by a bidirectional
+//! shortest-path search, with no per-destination state kept between
+//! queries.
 //!
 //! The dense [`RoutingTable`](crate::routing::RoutingTable) costs
 //! `~4·n²` bytes — ~400 MB at 10k nodes and ~40 GB at 100k — so it
 //! cannot even be *constructed* for the topologies the
-//! production-scale engine targets. [`LazyRouting`] stores nothing up
-//! front: the first query toward a destination runs one BFS rooted at
-//! that destination (`O(n + m)`, `8·n` bytes) and caches its packed
-//! hop/distance row; a bounded LRU evicts the coldest destination when
-//! full, recycling its buffer into the next computation so
+//! production-scale engine targets. [`LazyRouting`] stores the [`Csr`]
+//! adjacency (`O(n + m)`) and nothing else: a query meets two BFS balls
+//! grown from the source and the destination, marks the shortest-path
+//! subgraph between them, and walks it from the destination in
+//! adjacency order. The scratch arrays (three `n`-wide `u32` arrays per
+//! concurrent query) are pooled and reset through touched lists, so
 //! steady-state routing allocates nothing.
 //!
-//! The cache is split into [`SHARD_COUNT`] independently locked shards
-//! (keyed by destination id) once the capacity reaches
-//! [`SHARD_THRESHOLD`], so concurrent ensemble runs sharing one backend
-//! stop serializing on a single global mutex; tiny caches stay on one
-//! shard so their LRU behaves exactly like the original global one.
-//! [`CacheStats`] are kept per shard and summed on read — each
-//! counter bump happens under its shard's lock, so concurrent lookups
-//! can never under-count.
-//!
-//! **Equivalence contract:** the per-destination BFS is the shared
-//! kernel ([`crate::routing`]'s `bfs_fill_row`) every backend runs —
-//! same root, same [`Csr`] adjacency order, same first-discovery parent
-//! assignment — so for every ordered pair all backends return identical
-//! `next_hop` and `distance` (including `None` on disconnected pairs).
-//! `tests/routing_oracle.rs` proves this property over random star /
-//! Barabási–Albert / Waxman / GLP / hierarchical / disconnected graphs,
-//! and the netsim fingerprint suite pins full-simulation bit-identity.
+//! **Equivalence contract:** the dense and hier backends read next hops
+//! off [`crate::routing`]'s `bfs_fill_row` trees (rooted at the
+//! destination, neighbors in [`Csr`] order, parent on first discovery).
+//! That tree's path from `v` to its root `t` is the shortest `t → v`
+//! path whose sequence of adjacency positions, read from `t`, is
+//! lexicographically smallest (proved in DESIGN.md §9). The greedy walk
+//! below picks exactly that path, so for every ordered pair all backends
+//! return identical `next_hop` and `distance` (including `None` on
+//! disconnected pairs). `tests/routing_oracle.rs` checks this over
+//! random star / Barabási–Albert / Waxman / GLP / hierarchical /
+//! disconnected graphs and over tie-heavy tori, complete bipartite
+//! graphs and hypercubes; the netsim fingerprint suite pins
+//! full-simulation bit-identity.
 
 use crate::error::Error;
 use crate::graph::{Csr, Graph, NodeId};
-use crate::routing::{bfs_fill_row, PackedCell, RoutingBackend, RoutingTable, NO_HOP};
-use std::collections::HashMap;
+use crate::routing::{RoutingBackend, RoutingTable};
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 /// Environment variable consulted by [`RoutingKind::Auto`]: `dense`,
@@ -51,10 +49,9 @@ pub const ROUTING_ENV: &str = "DYNAQUAR_ROUTING";
 /// switches larger worlds to either the two-level
 /// [`HierRouting`](crate::hier::HierRouting) backend (when degree-1
 /// peeling shrinks the graph to a dense-sized core, as the paper's
-/// subnet topology does) or the lazy LRU backend with a capacity sized
-/// by [`default_cache_capacity`], so world construction never forces
-/// the `O(n²)` table. All three are bit-identical, so the choice is
-/// pure performance.
+/// subnet topology does) or the lazy search backend, so world
+/// construction never forces the `O(n²)` table. All three are
+/// bit-identical, so the choice is pure performance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingKind {
     /// [`ROUTING_ENV`] override if set, else dense below
@@ -63,12 +60,8 @@ pub enum RoutingKind {
     Auto,
     /// Always precompute the dense all-pairs table.
     Dense,
-    /// Always use the lazy backend with this many cached destinations
-    /// (clamped to at least 1).
-    Lazy {
-        /// Maximum number of destinations whose BFS arrays stay cached.
-        max_cached_destinations: usize,
-    },
+    /// Always answer each query with the lazy bidirectional search.
+    Lazy,
     /// Always use the two-level hierarchical backend (a dense core
     /// table plus pendant-tree parent arrays). Degenerates to a dense
     /// table behind an index map on graphs with nothing to peel.
@@ -79,17 +72,6 @@ pub enum RoutingKind {
 /// table; above it, the same bound caps the *peeled core* size the
 /// hier backend may build its dense core table over.
 pub const DENSE_AUTO_LIMIT: usize = 4096;
-
-/// Memory budget [`RoutingKind::Auto`] grants the lazy cache.
-pub const AUTO_CACHE_BUDGET_BYTES: usize = 256 << 20;
-
-/// The LRU capacity [`RoutingKind::Auto`] uses for an `n`-node graph:
-/// as many destinations as fit [`AUTO_CACHE_BUDGET_BYTES`] (each costs
-/// `8·n` bytes), at least 8, at most `n`.
-pub fn default_cache_capacity(n: usize) -> usize {
-    let per_destination = 8 * n.max(1) + 64;
-    (AUTO_CACHE_BUDGET_BYTES / per_destination).clamp(8, n.max(8))
-}
 
 /// Reads the [`ROUTING_ENV`] override; warns once per process on an
 /// unrecognized value (via the shared `dynaquar-parallel` env helper —
@@ -102,9 +84,7 @@ fn env_override() -> Option<RoutingKind> {
          (falling back to the auto structure rule)",
         |v| match v.to_ascii_lowercase().as_str() {
             "dense" => dynaquar_parallel::EnvParse::Value(RoutingKind::Dense),
-            "lazy" => dynaquar_parallel::EnvParse::Value(RoutingKind::Lazy {
-                max_cached_destinations: 0, // sized per graph by the caller
-            }),
+            "lazy" => dynaquar_parallel::EnvParse::Value(RoutingKind::Lazy),
             "hier" => dynaquar_parallel::EnvParse::Value(RoutingKind::Hier),
             // Explicitly asking for the default is not a typo.
             "auto" => dynaquar_parallel::EnvParse::Default,
@@ -114,38 +94,6 @@ fn env_override() -> Option<RoutingKind> {
 }
 
 impl RoutingKind {
-    /// Resolves `Auto` against a concrete node count (and the
-    /// [`ROUTING_ENV`] override).
-    ///
-    /// Size alone cannot justify the hier backend — that takes the
-    /// graph's peeled core, which only [`RoutingKind::build`] sees — so
-    /// without an env override this never returns `Hier`: it reports
-    /// the dense/lazy *fallback* large worlds get when their core is
-    /// too big.
-    pub fn resolve(self, n: usize) -> RoutingKind {
-        match self {
-            RoutingKind::Auto => {
-                match env_override() {
-                    Some(RoutingKind::Lazy { .. }) => {
-                        return RoutingKind::Lazy {
-                            max_cached_destinations: default_cache_capacity(n),
-                        }
-                    }
-                    Some(kind) => return kind,
-                    None => {}
-                }
-                if n <= DENSE_AUTO_LIMIT {
-                    RoutingKind::Dense
-                } else {
-                    RoutingKind::Lazy {
-                        max_cached_destinations: default_cache_capacity(n),
-                    }
-                }
-            }
-            other => other,
-        }
-    }
-
     /// Builds the backend for `graph`.
     ///
     /// `Auto` consults [`ROUTING_ENV`] first, keeps dense-sized graphs
@@ -154,105 +102,266 @@ impl RoutingKind {
     /// fits the dense bound — the paper's subnet worlds collapse to
     /// their backbone — routes hierarchically, anything else (e.g. flat
     /// power-law graphs of minimum degree 2, which don't peel at all)
-    /// falls back to the lazy LRU.
+    /// falls back to the lazy search.
     pub fn build(self, graph: &Graph) -> Box<dyn RoutingBackend> {
         let n = graph.node_count();
         let resolved = match self {
-            RoutingKind::Auto => match env_override() {
-                Some(RoutingKind::Lazy { .. }) => RoutingKind::Lazy {
-                    max_cached_destinations: default_cache_capacity(n),
-                },
-                Some(kind) => kind,
-                None => {
-                    if n <= DENSE_AUTO_LIMIT {
-                        RoutingKind::Dense
-                    } else {
-                        let core = crate::hier::peeled_core_size(graph);
-                        if core <= DENSE_AUTO_LIMIT && core < n {
-                            RoutingKind::Hier
-                        } else {
-                            RoutingKind::Lazy {
-                                max_cached_destinations: default_cache_capacity(n),
-                            }
-                        }
-                    }
+            RoutingKind::Auto => env_override().unwrap_or_else(|| {
+                if n <= DENSE_AUTO_LIMIT {
+                    return RoutingKind::Dense;
                 }
-            },
+                let core = crate::hier::peeled_core_size(graph);
+                if core <= DENSE_AUTO_LIMIT && core < n {
+                    RoutingKind::Hier
+                } else {
+                    RoutingKind::Lazy
+                }
+            }),
             other => other,
         };
         match resolved {
             RoutingKind::Dense => Box::new(RoutingTable::shortest_paths(graph)),
-            RoutingKind::Lazy {
-                max_cached_destinations,
-            } => Box::new(LazyRouting::new(graph, max_cached_destinations)),
+            RoutingKind::Lazy => Box::new(LazyRouting::new(graph)),
             RoutingKind::Hier => Box::new(crate::hier::HierRouting::new(graph)),
             RoutingKind::Auto => unreachable!("Auto is resolved above"),
         }
     }
 }
 
-/// Capacity at and above which the cache splits into [`SHARD_COUNT`]
-/// shards. Below it a single shard preserves the original global-LRU
-/// eviction order exactly (a capacity-2 cache split 8 ways would hold
-/// nothing).
-pub const SHARD_THRESHOLD: usize = 64;
+/// Marks a node no search has reached (in `dist_s`, `dist_t`, `mark`).
+const UNSEEN: u32 = u32::MAX;
 
-/// Number of independently locked cache shards at or above
-/// [`SHARD_THRESHOLD`]. Fixed (not sized from the host's parallelism)
-/// so eviction behaviour is machine-independent.
-pub const SHARD_COUNT: usize = 8;
-
-/// One destination's cached BFS row: packed `(next_hop, distance)`
-/// cells indexed by source (see [`PackedCell`]).
-struct Slot {
-    cells: Vec<u64>,
-    last_used: u64,
+/// One query's scratch state. Every array is all-[`UNSEEN`] between
+/// queries; [`Search::reset`] restores that through the touched lists
+/// in `O(touched)`, not `O(n)`.
+struct Search {
+    /// Hop distance from the source, inside the source's ball.
+    dist_s: Vec<u32>,
+    /// Hop distance from the destination, inside its ball.
+    dist_t: Vec<u32>,
+    /// Distance from the destination of each node found on a shortest
+    /// source–destination path.
+    mark: Vec<u32>,
+    /// The source's ball in discovery order: level by level, so the
+    /// frontier is always a suffix. Doubles as `dist_s`'s touched list.
+    seen_s: Vec<u32>,
+    /// The destination's ball, likewise.
+    seen_t: Vec<u32>,
+    /// Marked nodes, layer by layer; `mark`'s touched list.
+    marked: Vec<u32>,
 }
 
-/// Cache hit/miss/eviction counters, for benchmarks and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Queries served from a cached destination.
-    pub hits: u64,
-    /// Queries that had to run a BFS.
-    pub misses: u64,
-    /// Cached destinations discarded to make room.
-    pub evictions: u64,
+/// Where the two balls met: the source–destination distance and the
+/// meet layer (the shortest-path nodes at one common distance from
+/// each end) as a range of [`Search::marked`].
+struct Meet {
+    dist: u32,
+    layer: Range<usize>,
 }
 
-struct DestCache {
-    map: HashMap<u32, Slot>,
-    clock: u64,
-    stats: CacheStats,
-    /// Recycled rows from evicted slots: steady-state misses reuse
-    /// them instead of allocating 8·n fresh bytes.
-    spare: Vec<Vec<u64>>,
-    /// Reusable BFS frontier buffers.
-    cur: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl DestCache {
-    fn empty() -> Self {
-        DestCache {
-            map: HashMap::new(),
-            clock: 0,
-            stats: CacheStats::default(),
-            spare: Vec::new(),
-            cur: Vec::new(),
-            next: Vec::new(),
+/// Grows one side's ball by one level: scans the frontier
+/// `seen[*lo..]` in order, each node's neighbors in [`Csr`] order, and
+/// labels every newly reached node `radius + 1`. Returns whether a new
+/// node lies in the other ball, and the new frontier's adjacency-entry
+/// count (the cost of expanding it next).
+fn expand(
+    csr: &Csr,
+    dist: &mut [u32],
+    seen: &mut Vec<u32>,
+    lo: &mut usize,
+    other: &[u32],
+    radius: u32,
+) -> (bool, usize) {
+    let hi = seen.len();
+    let (mut met, mut work) = (false, 0);
+    for i in *lo..hi {
+        for &v in csr.neighbors(seen[i] as usize) {
+            if dist[v as usize] == UNSEEN {
+                dist[v as usize] = radius + 1;
+                seen.push(v);
+                met |= other[v as usize] != UNSEEN;
+                work += csr.degree(v as usize);
+            }
         }
+    }
+    *lo = hi;
+    (met, work)
+}
+
+/// Extends the marked shortest-path subgraph from `layer` toward one
+/// end of the query: each step marks the neighbors one hop closer to
+/// that end under `dist`, labelled by `label(distance)`, until the
+/// layer one hop from the end is marked. The end itself is never
+/// needed by the walk and stays unmarked.
+fn mark_toward(
+    csr: &Csr,
+    dist: &[u32],
+    mark: &mut [u32],
+    marked: &mut Vec<u32>,
+    mut layer: Range<usize>,
+    label: impl Fn(u32) -> u32,
+) {
+    let mut d = dist[marked[layer.start] as usize];
+    while d > 1 {
+        let start = marked.len();
+        for i in layer {
+            for &w in csr.neighbors(marked[i] as usize) {
+                if dist[w as usize] == d - 1 && mark[w as usize] == UNSEEN {
+                    mark[w as usize] = label(d - 1);
+                    marked.push(w);
+                }
+            }
+        }
+        layer = start..marked.len();
+        d -= 1;
     }
 }
 
-/// One lock's worth of the cache, owning a slice of the total capacity.
-struct Shard {
-    capacity: usize,
-    cache: Mutex<DestCache>,
+impl Search {
+    fn new(n: usize) -> Self {
+        Search {
+            dist_s: vec![UNSEEN; n],
+            dist_t: vec![UNSEEN; n],
+            mark: vec![UNSEEN; n],
+            seen_s: Vec::new(),
+            seen_t: Vec::new(),
+            marked: Vec::new(),
+        }
+    }
+
+    /// Level-synchronous bidirectional BFS between distinct `s` and
+    /// `t`. Each step expands whichever frontier has fewer adjacency
+    /// entries and stops after the first level that meets the other
+    /// ball; the meet layer is pushed onto `marked` with its distance
+    /// from `t`. `None` when `t` is unreachable.
+    ///
+    /// Before a step the balls of radii `r_s` and `r_t` are disjoint,
+    /// so `d(s, t) > r_s + r_t`; a meeting step therefore gives
+    /// `d(s, t) = r_s + r_t + 1` exactly, and every shortest path
+    /// crosses the freshly expanded level at a node of the other ball's
+    /// frontier. Which side expands changes only the cost.
+    fn meet(&mut self, csr: &Csr, s: u32, t: u32) -> Option<Meet> {
+        self.dist_s[s as usize] = 0;
+        self.seen_s.push(s);
+        self.dist_t[t as usize] = 0;
+        self.seen_t.push(t);
+        let (mut lo_s, mut lo_t) = (0, 0);
+        let (mut r_s, mut r_t) = (0, 0);
+        let (mut work_s, mut work_t) = (csr.degree(s as usize), csr.degree(t as usize));
+        loop {
+            let grow_s = work_s <= work_t;
+            let (met, work) = if grow_s {
+                expand(
+                    csr,
+                    &mut self.dist_s,
+                    &mut self.seen_s,
+                    &mut lo_s,
+                    &self.dist_t,
+                    r_s,
+                )
+            } else {
+                expand(
+                    csr,
+                    &mut self.dist_t,
+                    &mut self.seen_t,
+                    &mut lo_t,
+                    &self.dist_s,
+                    r_t,
+                )
+            };
+            if met {
+                let dist = r_s + r_t + 1;
+                let (frontier, other) = if grow_s {
+                    (&self.seen_s[lo_s..], &self.dist_t)
+                } else {
+                    (&self.seen_t[lo_t..], &self.dist_s)
+                };
+                let start = self.marked.len();
+                for &v in frontier {
+                    if other[v as usize] != UNSEEN {
+                        self.mark[v as usize] = self.dist_t[v as usize];
+                        self.marked.push(v);
+                    }
+                }
+                return Some(Meet {
+                    dist,
+                    layer: start..self.marked.len(),
+                });
+            }
+            let frontier_empty = if grow_s {
+                r_s += 1;
+                work_s = work;
+                lo_s == self.seen_s.len()
+            } else {
+                r_t += 1;
+                work_t = work;
+                lo_t == self.seen_t.len()
+            };
+            if frontier_empty {
+                return None;
+            }
+        }
+    }
+
+    /// The first hop of the shortest `s → t` path whose reverse, read
+    /// from `t` as a sequence of adjacency positions, is
+    /// lexicographically smallest — the parent of `s` in the
+    /// destination-rooted BFS tree every backend shares.
+    fn next_hop(&mut self, csr: &Csr, s: u32, t: u32) -> Option<u32> {
+        let meet = self.meet(csr, s, t)?;
+        let l = meet.dist;
+        let (dist_s, dist_t) = (&self.dist_s, &self.dist_t);
+        mark_toward(
+            csr,
+            dist_t,
+            &mut self.mark,
+            &mut self.marked,
+            meet.layer.clone(),
+            |d| d,
+        );
+        mark_toward(
+            csr,
+            dist_s,
+            &mut self.mark,
+            &mut self.marked,
+            meet.layer,
+            |d| l - d,
+        );
+        // Every marked node lies on a shortest s–t path, so each step
+        // from t to the first marked neighbor one layer further keeps a
+        // shortest path open; the first such neighbor in adjacency order
+        // extends the lexicographically smallest prefix.
+        let mut x = t;
+        for depth in 1..l {
+            x = *csr
+                .neighbors(x as usize)
+                .iter()
+                .find(|&&w| self.mark[w as usize] == depth)
+                .expect("a marked node has a marked successor");
+        }
+        Some(x)
+    }
+
+    /// Restores every array to all-[`UNSEEN`] and empties the lists.
+    fn reset(&mut self) {
+        for &v in &self.seen_s {
+            self.dist_s[v as usize] = UNSEEN;
+        }
+        for &v in &self.seen_t {
+            self.dist_t[v as usize] = UNSEEN;
+        }
+        for &v in &self.marked {
+            self.mark[v as usize] = UNSEEN;
+        }
+        self.seen_s.clear();
+        self.seen_t.clear();
+        self.marked.clear();
+    }
 }
 
-/// Memory-bounded shortest-path routing: lazily computed per-destination
-/// BFS rows behind a bounded, sharded LRU.
+/// Memory-bounded shortest-path routing: each query answered by a
+/// bidirectional search over the adjacency, bit-identical to the dense
+/// table.
 ///
 /// # Example
 ///
@@ -262,7 +371,7 @@ struct Shard {
 /// use dynaquar_topology::routing::{RoutingBackend, RoutingTable};
 ///
 /// let star = generators::star(4).expect("valid");
-/// let lazy = LazyRouting::new(&star.graph, 2);
+/// let lazy = LazyRouting::new(&star.graph);
 /// let dense = RoutingTable::shortest_paths(&star.graph);
 /// assert_eq!(
 ///     RoutingBackend::next_hop(&lazy, 1.into(), 2.into()),
@@ -270,175 +379,66 @@ struct Shard {
 /// );
 /// ```
 pub struct LazyRouting {
-    n: usize,
     /// CSR snapshot of the adjacency lists (`O(n + m)`), so the backend
     /// is self-contained like the dense table.
     csr: Csr,
-    capacity: usize,
-    shards: Vec<Shard>,
+    /// Idle scratch states, one per query that has ever run
+    /// concurrently; a query pops one (or allocates the first) and
+    /// pushes it back reset.
+    pool: Mutex<Vec<Search>>,
 }
 
 impl std::fmt::Debug for LazyRouting {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LazyRouting")
-            .field("nodes", &self.n)
-            .field("capacity", &self.capacity)
-            .field("shards", &self.shards.len())
-            .field("cached", &self.cached_destinations())
-            .field("stats", &self.cache_stats())
+            .field("nodes", &self.csr.node_count())
+            .field("entries", &self.csr.entry_count())
             .finish()
     }
 }
 
 impl LazyRouting {
-    /// Creates the backend over `graph` with room for `capacity` cached
-    /// destinations in total (clamped to at least 1), spread over the
-    /// shards.
-    pub fn new(graph: &Graph, capacity: usize) -> Self {
-        let n = graph.node_count();
-        let capacity = capacity.max(1);
-        let shard_count = if capacity >= SHARD_THRESHOLD {
-            SHARD_COUNT
-        } else {
-            1
-        };
-        // Distribute the capacity; the remainder goes to the first
-        // shards so the per-shard split is deterministic.
-        let base = capacity / shard_count;
-        let extra = capacity % shard_count;
-        let shards = (0..shard_count)
-            .map(|i| Shard {
-                capacity: base + usize::from(i < extra),
-                cache: Mutex::new(DestCache::empty()),
-            })
-            .collect();
+    /// Creates the backend over `graph`.
+    pub fn new(graph: &Graph) -> Self {
         LazyRouting {
-            n,
             csr: Csr::from_graph(graph),
-            capacity,
-            shards,
+            pool: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The configured LRU capacity, in destinations (summed over
-    /// shards).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of independently locked cache shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Upper bound on the bytes the cache can pin (`capacity · 8·n`).
-    pub fn memory_bound_bytes(&self) -> usize {
-        self.capacity * 8 * self.n
-    }
-
-    /// Snapshot of the hit/miss/eviction counters, summed across
-    /// shards.
-    ///
-    /// Each shard's counters only mutate under that shard's lock, so
-    /// the sum never under-counts; it may lag an in-flight lookup on
-    /// another shard, which is inherent to any sharded snapshot.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            let cache = shard.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            total.hits += cache.stats.hits;
-            total.misses += cache.stats.misses;
-            total.evictions += cache.stats.evictions;
-        }
-        total
-    }
-
-    /// Destinations currently cached, summed across shards.
-    pub fn cached_destinations(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .map
-                    .len()
-            })
-            .sum()
     }
 
     fn check_nodes(&self, src: NodeId, dst: NodeId) -> Result<(), Error> {
+        let node_count = self.csr.node_count();
         for node in [src, dst] {
-            if node.index() >= self.n {
-                return Err(Error::NodeOutOfRange {
-                    node,
-                    node_count: self.n,
-                });
+            if node.index() >= node_count {
+                return Err(Error::NodeOutOfRange { node, node_count });
             }
         }
         Ok(())
     }
 
-    /// Runs `f` against the packed BFS row rooted at `dst`, computing
-    /// and caching it in `dst`'s shard if absent.
-    fn with_routes<R>(&self, dst: NodeId, f: impl FnOnce(&[u64]) -> R) -> R {
-        let key = dst.index() as u32;
-        let shard = &self.shards[dst.index() % self.shards.len()];
-        // Poison recovery is sound here: every cache mutation (counter
-        // bump, map insert, LRU eviction) completes before control
-        // leaves this module, so a panic in a caller-supplied closure on
-        // another thread can only poison the lock *between* individually
-        // consistent states — never mid-update.
-        let mut cache = shard.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let cache = &mut *cache;
-        cache.clock += 1;
-        let stamp = cache.clock;
-        if let Some(slot) = cache.map.get_mut(&key) {
-            slot.last_used = stamp;
-            cache.stats.hits += 1;
-            return f(&slot.cells);
-        }
-        cache.stats.misses += 1;
-        if cache.map.len() >= shard.capacity {
-            // Evict the least-recently-used destination; the scan is
-            // O(shard capacity), dwarfed by the O(n + m) BFS that
-            // follows.
-            let coldest = cache
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(&k, _)| k)
-                .expect("cache is non-empty at capacity");
-            let slot = cache.map.remove(&coldest).expect("key just found");
-            cache.stats.evictions += 1;
-            cache.spare.push(slot.cells);
-        }
-        let mut cells = cache
-            .spare
-            .pop()
-            .unwrap_or_else(|| vec![u64::UNREACHED; self.n]);
-        bfs_fill_row(
-            &self.csr,
-            key,
-            &mut cells,
-            &mut cache.cur,
-            &mut cache.next,
-        );
-        let result = f(&cells);
-        cache.map.insert(
-            key,
-            Slot {
-                cells,
-                last_used: stamp,
-            },
-        );
+    /// Runs `f` on a pooled scratch state and returns the state reset.
+    fn with_search<R>(&self, f: impl FnOnce(&mut Search) -> R) -> R {
+        // Poison recovery is sound: the pool only holds reset states,
+        // and a panicking query drops its state instead of returning it.
+        let pooled = self
+            .pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let mut search = pooled.unwrap_or_else(|| Search::new(self.csr.node_count()));
+        let result = f(&mut search);
+        search.reset();
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(search);
         result
     }
 }
 
 impl RoutingBackend for LazyRouting {
     fn node_count(&self) -> usize {
-        self.n
+        self.csr.node_count()
     }
 
     fn try_next_hop(&self, src: NodeId, dst: NodeId) -> Result<Option<NodeId>, Error> {
@@ -446,14 +446,19 @@ impl RoutingBackend for LazyRouting {
         if src == dst {
             return Ok(None);
         }
-        let hop = self.with_routes(dst, |cells| cells[src.index()].hop());
-        Ok((hop != NO_HOP).then(|| NodeId::new(hop)))
+        let (s, t) = (src.index() as u32, dst.index() as u32);
+        Ok(self
+            .with_search(|search| search.next_hop(&self.csr, s, t))
+            .map(NodeId::new))
     }
 
     fn try_distance(&self, src: NodeId, dst: NodeId) -> Result<Option<u32>, Error> {
         self.check_nodes(src, dst)?;
-        let d = self.with_routes(dst, |cells| cells[src.index()].dist());
-        Ok((d != u32::MAX).then_some(d))
+        if src == dst {
+            return Ok(Some(0));
+        }
+        let (s, t) = (src.index() as u32, dst.index() as u32);
+        Ok(self.with_search(|search| search.meet(&self.csr, s, t).map(|m| m.dist)))
     }
 
     fn backend_name(&self) -> &'static str {
@@ -466,9 +471,9 @@ mod tests {
     use super::*;
     use crate::generators;
 
-    fn assert_pairwise_identical(g: &Graph, capacity: usize) {
+    fn assert_pairwise_identical(g: &Graph) {
         let dense = RoutingTable::shortest_paths(g);
-        let lazy = LazyRouting::new(g, capacity);
+        let lazy = LazyRouting::new(g);
         let n = g.node_count();
         for src in 0..n {
             for dst in 0..n {
@@ -488,23 +493,22 @@ mod tests {
     }
 
     #[test]
-    fn matches_dense_on_star_even_with_tiny_cache() {
+    fn matches_dense_on_star() {
         let star = generators::star(12).unwrap();
-        assert_pairwise_identical(&star.graph, 1);
+        assert_pairwise_identical(&star.graph);
     }
 
     #[test]
     fn matches_dense_on_power_law() {
         let g = generators::barabasi_albert(80, 2, 5).unwrap();
-        assert_pairwise_identical(&g, 7);
+        assert_pairwise_identical(&g);
     }
 
     #[test]
-    fn matches_dense_when_sharded() {
-        let g = generators::barabasi_albert(90, 2, 13).unwrap();
-        let lazy = LazyRouting::new(&g, SHARD_THRESHOLD);
-        assert_eq!(lazy.shard_count(), SHARD_COUNT);
-        assert_pairwise_identical(&g, SHARD_THRESHOLD);
+    fn matches_dense_on_ring_ties() {
+        // Even rings put two shortest paths between antipodes: only the
+        // adjacency-order tie-break picks the hop.
+        assert_pairwise_identical(&generators::ring(10).unwrap());
     }
 
     #[test]
@@ -513,8 +517,8 @@ mod tests {
         g.add_edge(0.into(), 1.into()).unwrap();
         g.add_edge(1.into(), 2.into()).unwrap();
         g.add_edge(3.into(), 4.into()).unwrap();
-        assert_pairwise_identical(&g, 2);
-        let lazy = LazyRouting::new(&g, 2);
+        assert_pairwise_identical(&g);
+        let lazy = LazyRouting::new(&g);
         assert_eq!(lazy.try_next_hop(0.into(), 4.into()).unwrap(), None);
         assert_eq!(lazy.try_distance(5.into(), 0.into()).unwrap(), None);
     }
@@ -523,7 +527,7 @@ mod tests {
     fn derived_walks_match_dense() {
         let g = generators::barabasi_albert(40, 2, 9).unwrap();
         let dense = RoutingTable::shortest_paths(&g);
-        let lazy = LazyRouting::new(&g, 5);
+        let lazy = LazyRouting::new(&g);
         assert_eq!(RoutingBackend::diameter(&lazy), dense.diameter());
         assert!(
             (RoutingBackend::average_path_length(&lazy) - dense.average_path_length()).abs()
@@ -538,74 +542,43 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_bounded_and_recycles() {
-        let g = generators::barabasi_albert(50, 2, 3).unwrap();
-        let lazy = LazyRouting::new(&g, 4);
-        assert_eq!(lazy.shard_count(), 1, "small caches stay unsharded");
-        for dst in 0..50usize {
-            let _ = RoutingBackend::distance(&lazy, 0.into(), dst.into());
+    fn scratch_is_reset_and_reused() {
+        let g = generators::barabasi_albert(60, 2, 3).unwrap();
+        let lazy = LazyRouting::new(&g);
+        for dst in 0..60usize {
+            let _ = RoutingBackend::next_hop(&lazy, 0.into(), dst.into());
         }
-        assert!(lazy.cached_destinations() <= 4);
-        let stats = lazy.cache_stats();
-        assert_eq!(stats.misses, 50);
-        assert_eq!(stats.evictions, 46);
-        assert_eq!(lazy.memory_bound_bytes(), 4 * 8 * 50);
-        // Re-query the hot destinations: all hits.
-        for dst in 46..50usize {
-            let _ = RoutingBackend::distance(&lazy, 1.into(), dst.into());
+        let pool = lazy.pool.lock().unwrap();
+        assert_eq!(pool.len(), 1, "serial queries share one scratch state");
+        let search = &pool[0];
+        assert!(search.seen_s.is_empty() && search.seen_t.is_empty());
+        assert!(search.marked.is_empty());
+        for arr in [&search.dist_s, &search.dist_t, &search.mark] {
+            assert!(arr.iter().all(|&x| x == UNSEEN));
         }
-        assert_eq!(lazy.cache_stats().hits, stats.hits + 4);
     }
 
     #[test]
-    fn lru_keeps_recently_used_destinations() {
-        let g = generators::ring(8).unwrap();
-        let lazy = LazyRouting::new(&g, 2);
-        let _ = RoutingBackend::distance(&lazy, 0.into(), 1.into()); // miss: {1}
-        let _ = RoutingBackend::distance(&lazy, 0.into(), 2.into()); // miss: {1, 2}
-        let _ = RoutingBackend::distance(&lazy, 3.into(), 1.into()); // hit, 1 freshest
-        let _ = RoutingBackend::distance(&lazy, 0.into(), 5.into()); // miss, evicts 2
-        let stats = lazy.cache_stats();
-        let _ = RoutingBackend::distance(&lazy, 4.into(), 1.into()); // still a hit
-        assert_eq!(lazy.cache_stats().hits, stats.hits + 1);
-        let _ = RoutingBackend::distance(&lazy, 4.into(), 2.into()); // evicted: a miss
-        assert_eq!(lazy.cache_stats().misses, stats.misses + 1);
-    }
-
-    #[test]
-    fn sharded_cache_is_bounded_per_shard() {
-        let g = generators::barabasi_albert(200, 2, 21).unwrap();
-        let lazy = LazyRouting::new(&g, 65);
-        assert_eq!(lazy.shard_count(), SHARD_COUNT);
-        for dst in 0..200usize {
-            let _ = RoutingBackend::distance(&lazy, 0.into(), dst.into());
-        }
-        // Per-shard capacities are 9/8/8/…, so the total stays bounded
-        // by the requested 65 even after touching every destination.
-        assert!(lazy.cached_destinations() <= 65);
-        let stats = lazy.cache_stats();
-        assert_eq!(stats.misses, 200);
-        assert_eq!(
-            stats.misses - stats.evictions,
-            lazy.cached_destinations() as u64,
-            "every miss either grew a shard or evicted from it"
-        );
-    }
-
-    #[test]
-    fn concurrent_lookups_never_undercount_stats() {
+    fn concurrent_lookups_match_dense() {
         let g = generators::barabasi_albert(240, 2, 11).unwrap();
-        let lazy = LazyRouting::new(&g, 128);
+        let lazy = LazyRouting::new(&g);
         let dense = RoutingTable::shortest_paths(&g);
         const THREADS: usize = 8;
         const QUERIES: usize = 500;
+        // Release every thread at once so their queries overlap.
+        let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let (lazy, dense) = (&lazy, &dense);
+                let (lazy, dense, start) = (&lazy, &dense, &start);
                 scope.spawn(move || {
+                    start.wait();
                     for i in 0..QUERIES {
                         let src = NodeId::from((i * 7 + t * 13) % 240);
                         let dst = NodeId::from((i * 31 + t * 5) % 240);
+                        assert_eq!(
+                            RoutingBackend::next_hop(lazy, src, dst),
+                            dense.next_hop(src, dst)
+                        );
                         assert_eq!(
                             RoutingBackend::distance(lazy, src, dst),
                             dense.distance(src, dst)
@@ -614,21 +587,13 @@ mod tests {
                 });
             }
         });
-        let stats = lazy.cache_stats();
-        // The exact hit/miss split depends on interleaving, but under
-        // per-shard locking every lookup lands in exactly one counter.
-        assert_eq!(stats.hits + stats.misses, (THREADS * QUERIES) as u64);
-        assert_eq!(
-            stats.misses - stats.evictions,
-            lazy.cached_destinations() as u64
-        );
-        assert!(lazy.cached_destinations() <= 128);
+        assert!(lazy.pool.lock().unwrap().len() <= THREADS);
     }
 
     #[test]
     fn out_of_range_queries_error() {
         let g = generators::ring(4).unwrap();
-        let lazy = LazyRouting::new(&g, 2);
+        let lazy = LazyRouting::new(&g);
         let bad = NodeId::new(9);
         assert_eq!(
             lazy.try_next_hop(bad, 0.into()),
@@ -642,46 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_kind_resolves_by_size() {
-        // The env override is process-global; only exercise the size
-        // rule when the variable is not set (the CI matrix sets it for
-        // whole jobs, never inside one).
-        if std::env::var(ROUTING_ENV).is_ok() {
-            return;
-        }
-        assert_eq!(RoutingKind::Auto.resolve(1000), RoutingKind::Dense);
-        assert_eq!(RoutingKind::Auto.resolve(DENSE_AUTO_LIMIT), RoutingKind::Dense);
-        match RoutingKind::Auto.resolve(DENSE_AUTO_LIMIT + 1) {
-            RoutingKind::Lazy {
-                max_cached_destinations,
-            } => assert_eq!(
-                max_cached_destinations,
-                default_cache_capacity(DENSE_AUTO_LIMIT + 1)
-            ),
-            other => panic!("expected lazy, got {other:?}"),
-        }
-        assert_eq!(
-            RoutingKind::Dense.resolve(1_000_000),
-            RoutingKind::Dense,
-            "explicit kinds resolve to themselves"
-        );
-        assert_eq!(RoutingKind::Hier.resolve(10), RoutingKind::Hier);
-    }
-
-    #[test]
-    fn default_capacity_fits_the_budget() {
-        for n in [5_000usize, 20_000, 100_000, 1_000_000] {
-            let cap = default_cache_capacity(n);
-            assert!(cap >= 8);
-            assert!(cap * 8 * n <= AUTO_CACHE_BUDGET_BYTES + 8 * n,
-                "cache bound blown at n={n}: {cap}");
-        }
-        // Tiny graphs clamp to n-or-8, never zero.
-        assert!(default_cache_capacity(1) >= 1);
-    }
-
-    #[test]
     fn kind_build_picks_the_right_backend() {
+        // The env override is process-global; only exercise the
+        // structure rule when the variable is not set (the CI matrix
+        // sets it for whole jobs, never inside one).
         if std::env::var(ROUTING_ENV).is_ok() {
             return;
         }
@@ -689,18 +618,32 @@ mod tests {
         assert_eq!(RoutingKind::Auto.build(&g).backend_name(), "dense");
         assert_eq!(RoutingKind::Dense.build(&g).backend_name(), "dense");
         assert_eq!(RoutingKind::Hier.build(&g).backend_name(), "hier");
-        let lazy = RoutingKind::Lazy {
-            max_cached_destinations: 3,
-        }
-        .build(&g);
+        let lazy = RoutingKind::Lazy.build(&g);
         assert_eq!(lazy.backend_name(), "lazy");
         assert_eq!(lazy.node_count(), 16);
+        // Above the dense limit: a flat power-law graph (minimum degree
+        // 2, nothing peels) goes lazy, a subnet world peels to its
+        // backbone and goes hier.
+        let flat = generators::barabasi_albert(5000, 2, 7).unwrap();
+        assert!(flat.node_count() > DENSE_AUTO_LIMIT);
+        assert_eq!(RoutingKind::Auto.build(&flat).backend_name(), "lazy");
+        let subnets = generators::SubnetTopologyBuilder::new()
+            .backbone_routers(4)
+            .subnets(20)
+            .hosts_per_subnet(250)
+            .build()
+            .unwrap();
+        assert!(subnets.graph.node_count() > DENSE_AUTO_LIMIT);
+        assert_eq!(
+            RoutingKind::Auto.build(&subnets.graph).backend_name(),
+            "hier"
+        );
     }
 
     #[test]
     fn debug_is_nonempty() {
         let g = generators::ring(4).unwrap();
-        let lazy = LazyRouting::new(&g, 2);
+        let lazy = LazyRouting::new(&g);
         assert!(!format!("{lazy:?}").is_empty());
     }
 }

@@ -15,7 +15,8 @@
 //! rate-limited link's budget "proportional to the number of routing table
 //! entries the link occupies") behind a [`RoutingBackend`] trait — the
 //! dense all-pairs [`RoutingTable`] for paper-scale worlds, the
-//! memory-bounded [`lazy::LazyRouting`] LRU for huge flat topologies,
+//! memory-bounded [`lazy::LazyRouting`] per-query bidirectional search
+//! for huge flat topologies,
 //! and the two-level [`hier::HierRouting`] composition for large
 //! hierarchical worlds (dense gateway core + pendant-tree arrays) —
 //! degree-based [role assignment](roles)

@@ -11,8 +11,10 @@
 //! dense table implements alongside the memory-bounded
 //! [`LazyRouting`](crate::lazy::LazyRouting) backend and the two-level
 //! [`HierRouting`](crate::hier::HierRouting) backend; all produce
-//! bit-identical next hops because each reproduces the same BFS
-//! (neighbors in adjacency order) rooted at the destination.
+//! bit-identical next hops. The table backends reproduce the same BFS
+//! (neighbors in adjacency order) rooted at the destination; the lazy
+//! search walks that BFS tree's path without building the tree (it is
+//! the lexicographically smallest shortest path, DESIGN.md §9).
 //!
 //! Every backend's BFS runs over the shared [`Csr`] adjacency snapshot
 //! and writes **destination-major** rows (`table[dst * n + src]`): one
@@ -43,11 +45,10 @@ pub(crate) const NO_HOP: u32 = u32::MAX;
 ///
 /// Two widths exist: [`u32`] packs two `u16` halves (graphs up to 65,535
 /// nodes — every dense table that fits in memory in practice), [`u64`]
-/// packs two `u32` halves (the general case, used by the lazy backend's
-/// per-destination rows). Packing matters twice over: one store per BFS
-/// discovery instead of two, and half the table bytes, which on the
-/// latency-bound all-pairs build is the difference between ~3 s and
-/// ~13 s at n = 10k.
+/// packs two `u32` halves (the general case, for larger tables).
+/// Packing matters twice over: one store per BFS discovery instead of
+/// two, and half the table bytes, which on the latency-bound all-pairs
+/// build is the difference between ~3 s and ~13 s at n = 10k.
 pub(crate) trait PackedCell: Copy + Eq + Send + 'static {
     /// Cell value for a node the BFS never reached (no hop, no distance).
     const UNREACHED: Self;
@@ -130,12 +131,13 @@ pub(crate) const COMPACT_LIMIT: usize = u16::MAX as usize;
 
 /// One BFS rooted at `dst`, filling the `n`-wide packed row.
 ///
-/// This is the single kernel every backend shares: neighbors are visited
-/// in [`Csr`] order (= adjacency order), level-synchronously (frontier
-/// order equals FIFO queue order), parents are assigned on first
-/// discovery — so for a fixed graph the filled row is bit-identical no
-/// matter which backend (dense, lazy, hier core) runs it, at either cell
-/// width.
+/// This is the single kernel the table backends share: neighbors are
+/// visited in [`Csr`] order (= adjacency order), level-synchronously
+/// (frontier order equals FIFO queue order), parents are assigned on
+/// first discovery — so for a fixed graph the filled row is
+/// bit-identical no matter which backend (dense, hier core) runs it, at
+/// either cell width. The lazy backend's search returns the same
+/// parents without filling a row.
 pub(crate) fn bfs_fill_row<C: PackedCell>(
     csr: &Csr,
     dst: u32,
@@ -353,13 +355,14 @@ fn fill_range_cells<C: PackedCell>(csr: &Csr, lo: usize, hi: usize, out: &mut Ve
 /// ordered node pair, and must agree with a BFS rooted at the
 /// destination that visits neighbors in adjacency order — the contract
 /// that makes every backend bit-identical to [`RoutingTable`] (the
-/// differential suite in `tests/routing_equivalence.rs` enforces it).
+/// differential suite in `tests/routing_oracle.rs` enforces it).
 ///
 /// The derived walks ([`path`](RoutingBackend::try_path),
 /// [`diameter`](RoutingBackend::diameter), …) have default
-/// implementations in terms of the two required queries; they iterate
-/// destination-outer so cache-backed implementations serve each
-/// destination from one BFS. [`link_loads`](RoutingBackend::link_loads)
+/// implementations in terms of the two required queries, so they cost
+/// one query per pair: `O(n²)` queries for the all-pairs walks, which
+/// only the table backends answer in `O(1)`.
+/// [`link_loads`](RoutingBackend::link_loads)
 /// needs no queries at all: every backend routes along the same BFS
 /// trees, which the [`link_loads`](crate::routing::link_loads) kernel
 /// regrows from the graph.

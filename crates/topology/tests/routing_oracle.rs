@@ -7,18 +7,22 @@
 //!
 //! * the parallel-built dense table, at 1 and 3 workers (packed cells,
 //!   batched CSR kernel),
-//! * [`LazyRouting`] with a deliberately undersized cache (both the
-//!   single-shard and sharded configurations), and
+//! * the [`LazyRouting`] bidirectional search, and
 //! * the two-level [`HierRouting`] composition.
 //!
 //! Agreement is exact — the same parent, not merely *a* shortest-path
-//! parent — because every construction reproduces the same BFS
-//! (rooted at the destination, neighbors in adjacency order, parents
-//! on first discovery). Checked across every graph family the repo
-//! generates: star, Barabási–Albert, Waxman, GLP, hierarchical
-//! subnet worlds, and disconnected multi-component graphs, over every
-//! ordered `(src, dst)` pair on small worlds and a deterministic pair
-//! sample on large ones.
+//! parent. The table backends reproduce the same BFS (rooted at the
+//! destination, neighbors in adjacency order, parents on first
+//! discovery); the lazy search instead walks the lexicographically
+//! smallest shortest path, which that BFS's tree path provably is.
+//! Checked across every graph family the repo generates: star,
+//! Barabási–Albert, Waxman, GLP, hierarchical subnet worlds, and
+//! disconnected multi-component graphs, over every ordered `(src, dst)`
+//! pair on small worlds and a deterministic pair sample on large ones.
+//! Tori, complete bipartite graphs and hypercubes — where most pairs
+//! have many shortest paths and only the adjacency-order tie-break
+//! picks the hop — are checked on every ordered pair, paths included,
+//! with their edges inserted both in order and shuffled.
 //!
 //! The derived sums — [`link_loads`](routing::link_loads) and the
 //! Equation-6 coverage fractions in [`paths`] — regrow the same BFS
@@ -26,29 +30,19 @@
 //! here against hop-by-hop walks of every ordered pair's route over the
 //! serial oracle (and over the lazy and hier backends), at several pool
 //! sizes.
-//!
-//! This suite supersedes the pairwise dense-vs-lazy checks that lived
-//! in `routing_equivalence.rs` before the hier backend existed.
 
 use dynaquar_parallel::ParallelConfig;
 use dynaquar_topology::generators::{self, SubnetTopologyBuilder};
 use dynaquar_topology::generators_extra::{glp, waxman};
 use dynaquar_topology::hier::HierRouting;
-use dynaquar_topology::lazy::{LazyRouting, SHARD_THRESHOLD};
+use dynaquar_topology::lazy::LazyRouting;
 use dynaquar_topology::paths;
 use dynaquar_topology::routing::{self, RoutingBackend, RoutingTable};
 use dynaquar_topology::{Graph, NodeId};
 use proptest::prelude::*;
 
 /// Every backend under test, freshly built over `g`.
-///
-/// The lazy cache capacity is forced far below the node count so the
-/// pair sweep (destination-inner — the worst access order for a
-/// per-destination cache) keeps evicting and recomputing; a second
-/// lazy instance runs at [`SHARD_THRESHOLD`] to cover the sharded
-/// LRU path.
 fn backends_under_test(g: &Graph) -> Vec<(&'static str, Box<dyn RoutingBackend>)> {
-    let n = g.node_count();
     vec![
         (
             "dense@1",
@@ -58,14 +52,7 @@ fn backends_under_test(g: &Graph) -> Vec<(&'static str, Box<dyn RoutingBackend>)
             "dense@3",
             Box::new(RoutingTable::shortest_paths_with(g, &ParallelConfig::new(3))),
         ),
-        (
-            "lazy-small",
-            Box::new(LazyRouting::new(g, (n / 8).max(2))),
-        ),
-        (
-            "lazy-sharded",
-            Box::new(LazyRouting::new(g, SHARD_THRESHOLD)),
-        ),
+        ("lazy", Box::new(LazyRouting::new(g))),
         ("hier", Box::new(HierRouting::new(g))),
     ]
 }
@@ -111,6 +98,12 @@ fn assert_pair_agrees(
 /// hop-by-hop walk is already pinned pointwise by the next-hop check,
 /// so the full-path comparison is a belt-and-braces closure test.
 fn assert_all_pairs_agree(g: &Graph) {
+    assert_all_pairs_agree_with(g, 17);
+}
+
+/// [`assert_all_pairs_agree`] with paths compared on every pair whose
+/// index sum is a multiple of `path_stride` (1: every pair).
+fn assert_all_pairs_agree_with(g: &Graph, path_stride: usize) {
     let n = g.node_count();
     let oracle = RoutingTable::shortest_paths_serial(g);
     for (name, backend) in backends_under_test(g) {
@@ -118,7 +111,7 @@ fn assert_all_pairs_agree(g: &Graph) {
         for src in 0..n {
             for dst in 0..n {
                 let (s, d) = (NodeId::new(src as u32), NodeId::new(dst as u32));
-                let check_path = (src + dst) % 17 == 0;
+                let check_path = (src + dst) % path_stride == 0;
                 assert_pair_agrees(&oracle, name, backend.as_ref(), s, d, check_path);
             }
         }
@@ -160,6 +153,64 @@ fn two_component_graph(n_a: usize, n_b: usize, seed: u64) -> Graph {
             NodeId::new((v.index() + n_a) as u32),
         )
         .unwrap();
+    }
+    g
+}
+
+/// The edge list of one tie-heavy graph: `family` 0 is the `p × q`
+/// torus (`p, q ≥ 3`), 1 the complete bipartite graph `K_{p,q}`, 2
+/// the hypercube of dimension `p`. Edges come in a canonical order.
+fn tie_heavy_edges(family: usize, p: usize, q: usize) -> (usize, Vec<(usize, usize)>) {
+    match family {
+        0 => {
+            let id = move |i: usize, j: usize| (i % p) * q + j % q;
+            let edges = (0..p)
+                .flat_map(|i| {
+                    (0..q).flat_map(move |j| [(id(i, j), id(i + 1, j)), (id(i, j), id(i, j + 1))])
+                })
+                .collect();
+            (p * q, edges)
+        }
+        1 => (p + q, (0..p).flat_map(|a| (p..p + q).map(move |b| (a, b))).collect()),
+        _ => {
+            let n = 1usize << p;
+            let edges = (0..n)
+                .flat_map(|v| (0..p).map(move |k| (v, v ^ (1 << k))))
+                .filter(|&(v, w)| v < w)
+                .collect();
+            (n, edges)
+        }
+    }
+}
+
+/// Builds an `n`-node graph from `edges`, inserted in the given order
+/// or, with `shuffle: Some(seed)`, in a seeded Fisher–Yates order with
+/// each edge's endpoints possibly swapped. Insertion order is
+/// adjacency order, so a shuffle changes which shortest path every
+/// backend must pick.
+fn graph_from_edges(n: usize, edges: &[(usize, usize)], shuffle: Option<u64>) -> Graph {
+    let mut edges = edges.to_vec();
+    if let Some(mut state) = shuffle {
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        for e in &mut edges {
+            if next() % 2 == 1 {
+                *e = (e.1, e.0);
+            }
+        }
+    }
+    let mut g = Graph::with_nodes(n);
+    for (u, v) in edges {
+        g.add_edge(NodeId::new(u as u32), NodeId::new(v as u32)).unwrap();
     }
     g
 }
@@ -375,6 +426,27 @@ proptest! {
         assert_derived_sums_agree(&family_graph(family, size, seed));
     }
 
+    /// Tori, complete bipartite graphs and hypercubes, with edges in
+    /// canonical and in shuffled order: most pairs have several
+    /// shortest paths, so every hop is decided by adjacency order
+    /// alone. Next hop, distance and path are checked on every ordered
+    /// pair.
+    #[test]
+    fn tie_heavy_graphs_match_oracle(
+        family in 0usize..3,
+        p in 3usize..=7,
+        q in 3usize..=7,
+        shuffle_seed in 0u64..1000,
+    ) {
+        let (n, edges) = match family {
+            1 => tie_heavy_edges(1, p - 1, q - 1),
+            2 => tie_heavy_edges(2, p - 1, 0),
+            _ => tie_heavy_edges(0, p, q),
+        };
+        assert_all_pairs_agree_with(&graph_from_edges(n, &edges, None), 1);
+        assert_all_pairs_agree_with(&graph_from_edges(n, &edges, Some(shuffle_seed)), 1);
+    }
+
     /// Disconnected graphs: unreachable pairs answer `None` from every
     /// backend, reachable pairs stay identical.
     #[test]
@@ -388,7 +460,7 @@ proptest! {
         // Spot-check the cross-component contract explicitly on the
         // two non-dense backends.
         let (a0, b0) = (NodeId::new(0), NodeId::new(n_a as u32));
-        let lazy = LazyRouting::new(&g, 4);
+        let lazy = LazyRouting::new(&g);
         prop_assert_eq!(lazy.try_next_hop(a0, b0).unwrap(), None);
         prop_assert_eq!(lazy.try_distance(b0, a0).unwrap(), None);
         let hier = HierRouting::new(&g);
@@ -421,7 +493,7 @@ fn large_power_law_matches_oracle_on_sampled_pairs() {
 }
 
 /// The backend-level `link_loads` is the same kernel for every backend:
-/// walking the lazy (undersized cache) and hier backends' routes gives
+/// walking the lazy and hier backends' routes gives
 /// the loads the kernel computes from the graph alone.
 #[test]
 fn backend_link_loads_match_walks_over_each_backend() {

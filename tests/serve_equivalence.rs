@@ -60,8 +60,8 @@ fn fingerprint_specs() -> Vec<(&'static str, Value, Option<u64>)> {
         .unwrap(),
         Some(64),
     ));
-    // power_law_1000_*_is_bit_identical, dense × lazy(87) × hier.
-    for routing in [r#""dense""#, r#"{"lazy": 87}"#, r#""hier""#] {
+    // power_law_1000_*_is_bit_identical, dense × lazy × hier.
+    for routing in [r#""dense""#, r#""lazy""#, r#""hier""#] {
         specs.push((
             "power-law-1000",
             parse_json(&format!(

@@ -29,8 +29,8 @@ fn value_from_seeds(seeds: &[u64], pos: &mut usize, depth: usize) -> Value {
         "shards", "checkpoint", "every_ticks", "directory", "zzz_garbage", "",
     ];
     const STRS: &[&str] = &[
-        "star", "power_law", "subnets", "random", "sequential", "auto", "dense", "hier", "tick",
-        "event", "none", "hub", "moebius", "", "ckpts",
+        "star", "power_law", "subnets", "random", "sequential", "auto", "dense", "lazy", "hier",
+        "tick", "event", "none", "hub", "moebius", "", "ckpts",
     ];
     fn next(seeds: &[u64], pos: &mut usize) -> u64 {
         let v = seeds.get(*pos).copied().unwrap_or(0);
