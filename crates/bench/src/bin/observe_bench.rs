@@ -25,6 +25,7 @@
 //! more than `--tolerance` percent (default 5) against the
 //! `null_wall_secs` recorded in FILE.
 
+use dynaquar_bench::json_f64;
 use dynaquar_netsim::config::{SimConfig, WormBehavior};
 use dynaquar_netsim::metrics::{JsonlEventWriter, MetricsObserver, PhaseProfile};
 use dynaquar_netsim::sim::Simulator;
@@ -125,22 +126,6 @@ fn overhead_pct(wall: f64, base: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Pulls the first number following `"key":` out of a JSON text. Good
-/// enough for the flat reports this binary writes; avoids a JSON
-/// dependency.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)?;
-    let rest = text[at + needle.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() -> ExitCode {

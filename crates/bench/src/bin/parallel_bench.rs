@@ -33,6 +33,7 @@
 //! Exit code is nonzero if any pooled run diverges from the serial
 //! baseline — the determinism contract is part of the benchmark.
 
+use dynaquar_bench::json_f64;
 use dynaquar_netsim::config::{SimConfig, WormBehavior};
 use dynaquar_netsim::runner::{run_averaged_parallel, AveragedResult};
 use dynaquar_netsim::World;
@@ -140,19 +141,6 @@ fn identical(a: &AveragedResult, b: &AveragedResult) -> bool {
         && a.runs == b.runs
         && a.outcomes == b.outcomes
         && a.infected_envelope() == b.infected_envelope()
-}
-
-/// Pulls the first number following `"key":` out of a JSON text (same
-/// helper as the other bench bins; avoids a JSON dependency).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)?;
-    let rest = text[at + needle.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// The recorded row with the largest thread count in a BENCH_parallel

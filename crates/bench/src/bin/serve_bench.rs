@@ -25,6 +25,7 @@
 //! `--tolerance` percent (default 60 — serving walls are short and
 //! scheduler-noisy) below the `jobs_per_sec` recorded in FILE.
 
+use dynaquar_bench::json_f64;
 use dynaquar_core::spec::{parse_json, scenario_from_value, Value};
 use dynaquar_netsim::metrics::JsonlEventWriter;
 use dynaquar_netsim::sim::{SimResult, Simulator};
@@ -203,19 +204,6 @@ fn overhead_pct(wall: f64, base: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Pulls the first number following `"key":` out of a JSON text (same
-/// minimal reader the other bench binaries use).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = text.find(&needle)?;
-    let rest = text[at + needle.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn run() -> Result<ExitCode, String> {

@@ -86,9 +86,36 @@ pub fn run_experiment(id: &str, quality: Quality) -> ExperimentOutput {
         .unwrap_or_else(|| panic!("unknown experiment id {id}"))
 }
 
+/// Pulls the first number following `"key":` out of a JSON text — the
+/// minimal reader the bench binaries use to read back their own flat
+/// reports without a JSON dependency. The key may sit at any depth; the
+/// first occurrence in the text wins. `None` when the key is absent or
+/// not followed by a number.
+pub fn json_f64(text: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\"");
+    let at = text.find(&needle)?;
+    let rest = text[at + needle.len()..].trim_start().strip_prefix(':')?;
+    let rest = rest.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_f64_reads_nested_keys_and_exponents() {
+        let text = r#"{"outer": {"rows": [{"threads": 4, "run_secs": 1.5e-3}]}, "n": -2}"#;
+        assert_eq!(json_f64(text, "threads"), Some(4.0));
+        assert_eq!(json_f64(text, "run_secs"), Some(0.0015));
+        assert_eq!(json_f64(text, "n"), Some(-2.0));
+        assert_eq!(json_f64(text, "missing"), None);
+        // A key whose value is not a number reads as absent.
+        assert_eq!(json_f64(text, "outer"), None);
+    }
 
     #[test]
     fn render_includes_title_and_checks() {

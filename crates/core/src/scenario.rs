@@ -12,7 +12,6 @@ use dynaquar_netsim::faults::FaultPlan;
 use dynaquar_netsim::metrics::PacketAccounting;
 use dynaquar_netsim::runner::run_averaged_parallel;
 use dynaquar_netsim::strategy::SimStrategy;
-use dynaquar_netsim::ShardSpec;
 use dynaquar_netsim::World;
 use dynaquar_parallel::ParallelConfig;
 use dynaquar_topology::generators;
@@ -134,7 +133,6 @@ pub struct Scenario {
     pub(crate) parallelism: Option<usize>,
     pub(crate) routing: RoutingKind,
     pub(crate) strategy: SimStrategy,
-    pub(crate) shards: ShardSpec,
     pub(crate) checkpoint: Option<CheckpointPolicy>,
 }
 
@@ -158,7 +156,6 @@ impl Scenario {
             parallelism: None,
             routing: RoutingKind::Auto,
             strategy: SimStrategy::Auto,
-            shards: ShardSpec::Auto,
             checkpoint: None,
         }
     }
@@ -266,18 +263,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the intra-world shard count for every run of the scenario.
-    /// The default [`ShardSpec::Auto`] follows `DYNAQUAR_SHARDS`, then
-    /// stays serial. Sharding splits each phase sweep of a single world
-    /// across cores with a deterministic ascending-host-id merge, so
-    /// like [`Scenario::routing`] and [`Scenario::strategy`] this knob
-    /// is a pure performance choice: any shard count traces
-    /// bit-identical curves.
-    pub fn shards(mut self, shards: ShardSpec) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Checkpoints every run of the scenario every `every_ticks` ticks
     /// into `directory` (one snapshot file per run seed), and lets the
     /// supervisor resume a crashed run from its latest checkpoint
@@ -380,7 +365,6 @@ impl Scenario {
             .horizon(self.horizon)
             .initial_infected(self.initial_infected)
             .strategy(self.strategy)
-            .shards(self.shards)
             .plan(plan);
         if let Some(imm) = self.immunization {
             builder.immunization(imm);
@@ -605,28 +589,6 @@ mod tests {
         let tick = base.clone().strategy(SimStrategy::Tick).run_simulated();
         let event = base.clone().strategy(SimStrategy::Event).run_simulated();
         assert_eq!(tick, event);
-    }
-
-    #[test]
-    fn shard_count_does_not_change_the_outcome() {
-        // The sharding analogue of the parallelism test above: the
-        // world is tiny (far under the shard work thresholds) and a
-        // sharded sweep must still be bit-identical, because the
-        // thresholds only gate whether threads are spawned — never the
-        // draw or merge order.
-        let spec = TopologySpec::Subnets {
-            backbone: 2,
-            subnets: 6,
-            hosts_per_subnet: 10,
-        };
-        let world = spec.build();
-        let base = Scenario::new(spec)
-            .horizon(60)
-            .deployment(Deployment::Hosts { fraction: 1.0 })
-            .runs(2);
-        let serial = base.clone().shards(ShardSpec::Fixed(1)).run_simulated_on(&world);
-        let sharded = base.clone().shards(ShardSpec::Fixed(4)).run_simulated_on(&world);
-        assert_eq!(serial, sharded);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::scenario::{Scenario, TopologySpec};
 use crate::strategy::{Deployment, RateLimitParams};
 use dynaquar_netsim::config::{ImmunizationConfig, ImmunizationTrigger, QuarantineConfig};
 use dynaquar_netsim::strategy::SimStrategy;
-use dynaquar_netsim::{ShardSpec, WormBehavior};
+use dynaquar_netsim::WormBehavior;
 use dynaquar_topology::lazy::RoutingKind;
 use dynaquar_worms::profiles::SelectorKind;
 use std::fmt;
@@ -1425,24 +1425,6 @@ fn strategy_from(v: &Value) -> Result<SimStrategy, SpecError> {
     }
 }
 
-fn shards_from(v: &Value) -> Result<ShardSpec, SpecError> {
-    match v {
-        Value::Str(s) if s == "auto" => Ok(ShardSpec::Auto),
-        Value::Int(_) => {
-            let n = as_positive_u64(v, "shards")?;
-            let n = u32::try_from(n).map_err(|_| SpecError::InvalidValue {
-                field: "shards".to_string(),
-                reason: "exceeds u32".to_string(),
-            })?;
-            Ok(ShardSpec::Fixed(n))
-        }
-        _ => Err(SpecError::WrongType {
-            field: "shards".to_string(),
-            expected: "\"auto\" or a positive integer",
-        }),
-    }
-}
-
 /// Builds a [`Scenario`] from a parsed spec document.
 ///
 /// # Errors
@@ -1471,6 +1453,10 @@ pub fn scenario_from_value(root: &Value) -> Result<Scenario, SpecError> {
             "parallelism",
             "routing",
             "strategy",
+            // Retired: intra-world sharding was removed. Specs emitted
+            // before then (every job ledger among them) carry
+            // `"shards": "auto"`; it never changed a result, so it is
+            // accepted and ignored.
             "shards",
             "checkpoint",
         ],
@@ -1522,9 +1508,6 @@ pub fn scenario_from_value(root: &Value) -> Result<Scenario, SpecError> {
     }
     if let Some(v) = get(entries, "strategy") {
         scenario = scenario.strategy(strategy_from(v)?);
-    }
-    if let Some(v) = get(entries, "shards") {
-        scenario = scenario.shards(shards_from(v)?);
     }
     if let Some(v) = get(entries, "checkpoint").and_then(optional) {
         let cp = as_object(v, "checkpoint")?;
@@ -1761,13 +1744,6 @@ pub fn scenario_to_value(s: &Scenario) -> Result<Value, SpecError> {
             .to_string(),
         ),
     ));
-    entries.push((
-        "shards".to_string(),
-        match s.shards {
-            ShardSpec::Auto => Value::Str("auto".to_string()),
-            ShardSpec::Fixed(n) => Value::Int(i64::from(n)),
-        },
-    ));
     if let Some(cp) = &s.checkpoint {
         let directory = cp.directory.to_str().ok_or_else(|| SpecError::Unsupported {
             what: "checkpoint directory is not valid UTF-8".to_string(),
@@ -1827,7 +1803,7 @@ pub struct Preset {
 /// asserts identity, and the daemon serves them under the `preset`
 /// verb. Together they exercise every leaf of the schema: all three
 /// topologies, all selector kinds, all deployments, delaying filters,
-/// quarantine, immunization triggers, routing/strategy/shard overrides,
+/// quarantine, immunization triggers, routing/strategy overrides,
 /// and checkpoint policies.
 pub fn presets() -> Vec<Preset> {
     use dynaquar_netsim::strategy::SimStrategy as Strategy;
@@ -1935,8 +1911,7 @@ pub fn presets() -> Vec<Preset> {
                     mu: 0.05,
                 })
                 .deployment(Deployment::Backbone)
-                .horizon(120)
-                .shards(ShardSpec::Fixed(2)),
+                .horizon(120),
         ),
         preset(
             "fig9a",
@@ -2176,10 +2151,23 @@ mod tests {
             scenario_from_json(&base(r#""deployment": {"hosts": 2.0}"#)).unwrap_err(),
             SpecError::InvalidValue { field, .. } if field == "deployment.hosts"
         ));
-        assert!(matches!(
-            scenario_from_json(&base(r#""shards": 0"#)).unwrap_err(),
-            SpecError::InvalidValue { field, .. } if field == "shards"
-        ));
+    }
+
+    #[test]
+    fn the_retired_shards_key_is_accepted_and_ignored() {
+        // Every canonical spec emitted while sharding existed carries
+        // `"shards": "auto"` (JSON) or `shards = "auto"` (TOML).
+        let plain = scenario_from_json(r#"{"topology": {"kind": "star", "leaves": 49}}"#).unwrap();
+        let json = r#"{"topology": {"kind": "star", "leaves": 49}, "shards": "auto"}"#;
+        let toml = "shards = \"auto\"\n[topology]\nkind = \"star\"\nleaves = 49\n";
+        for scenario in [
+            scenario_from_json(json).unwrap(),
+            scenario_from_toml(toml).unwrap(),
+        ] {
+            assert_eq!(scenario, plain);
+        }
+        let json = scenario_to_json(&plain).unwrap();
+        assert!(!json.contains("shards"), "{json}");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::background::BackgroundTraffic;
 use crate::error::Error;
 use crate::faults::FaultPlan;
 use crate::plan::RateLimitPlan;
-use crate::shard::ShardSpec;
 use crate::strategy::SimStrategy;
 use dynaquar_worms::profiles::SelectorKind;
 use dynaquar_worms::scanner::{LocalPreferential, Permutation, Sequential, TargetSelector, UniformRandom};
@@ -186,13 +185,6 @@ pub struct SimConfig {
     /// world size at simulator construction).
     #[serde(default)]
     pub(crate) strategy: SimStrategy,
-    /// Intra-run shard count ([`ShardSpec::Auto`] resolves against
-    /// [`crate::shard::SHARDS_ENV`] at simulator construction). A pure
-    /// performance knob: results are bit-identical for any shard count,
-    /// so — like `strategy` — it is excluded from the snapshot config
-    /// fingerprint.
-    #[serde(default)]
-    pub(crate) shards: ShardSpec,
     #[serde(skip)]
     pub(crate) plan: RateLimitPlan,
     #[serde(skip)]
@@ -255,20 +247,6 @@ impl SimConfig {
         self
     }
 
-    /// The configured intra-run shard count (possibly still
-    /// [`ShardSpec::Auto`]).
-    pub fn shards(&self) -> ShardSpec {
-        self.shards
-    }
-
-    /// Returns this configuration with `shards` swapped in — handy for
-    /// differential tests that run one scenario under several shard
-    /// counts.
-    pub fn with_shards(mut self, shards: ShardSpec) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// The rate-limiting plan.
     pub fn plan(&self) -> &RateLimitPlan {
         &self.plan
@@ -303,7 +281,6 @@ pub struct SimConfigBuilder {
     background: Option<BackgroundTraffic>,
     log_scans: bool,
     strategy: SimStrategy,
-    shards: ShardSpec,
     plan: RateLimitPlan,
     faults: FaultPlan,
     checkpoint: Option<CheckpointPolicy>,
@@ -320,7 +297,6 @@ impl Default for SimConfigBuilder {
             background: None,
             log_scans: false,
             strategy: SimStrategy::Auto,
-            shards: ShardSpec::Auto,
             plan: RateLimitPlan::none(),
             faults: FaultPlan::none(),
             checkpoint: None,
@@ -416,15 +392,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Picks the intra-run shard count (default [`ShardSpec::Auto`]:
-    /// the `DYNAQUAR_SHARDS` override, else 1). Sharded sweeps are
-    /// bit-identical to the serial path for any count, so this is
-    /// purely a performance knob.
-    pub fn shards(&mut self, shards: ShardSpec) -> &mut Self {
-        self.shards = shards;
-        self
-    }
-
     /// Validates and builds the configuration.
     ///
     /// # Errors
@@ -497,7 +464,6 @@ impl SimConfigBuilder {
             background: self.background,
             log_scans: self.log_scans,
             strategy: self.strategy,
-            shards: self.shards,
             plan: self.plan.clone(),
             faults: self.faults.clone(),
             checkpoint: self.checkpoint.clone(),

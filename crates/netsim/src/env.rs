@@ -11,15 +11,16 @@
 //! | [`THREADS_ENV`] (`DYNAQUAR_THREADS`) | positive integer | `ParallelConfig::from_env` — ensemble worker-pool size (seed-level parallelism) |
 //! | [`STRATEGY_ENV`] (`DYNAQUAR_STRATEGY`) | `tick` \| `event` \| `auto` | `SimStrategy::Auto` resolution at simulator construction |
 //! | [`ROUTING_ENV`] (`DYNAQUAR_ROUTING`) | `dense` \| `lazy` \| `hier` \| `auto` | `RoutingKind::Auto` resolution at world construction |
-//! | [`SHARDS_ENV`] (`DYNAQUAR_SHARDS`) | positive integer \| `auto` | `ShardSpec::Auto` resolution at simulator construction (intra-run sharding) |
 //!
-//! All four are *pure performance knobs*: the engine's determinism
+//! All three are *pure performance knobs*: the engine's determinism
 //! contract guarantees bit-identical results for any thread count,
-//! stepping strategy, routing backend, and shard count, which is why CI
-//! can re-run the whole suite — fingerprints included — under every
-//! combination.
+//! stepping strategy, and routing backend, which is why CI can re-run
+//! the whole suite — fingerprints included — under every combination.
+//!
+//! `DYNAQUAR_SHARDS` is retired: the engine no longer splits one world
+//! across threads, and nothing reads the variable. Its name survives
+//! only as `crate::shard::SHARDS_ENV` for the benchmark harness.
 
-pub use crate::shard::SHARDS_ENV;
 pub use crate::strategy::STRATEGY_ENV;
 pub use dynaquar_parallel::{env_override, EnvParse, THREADS_ENV};
 pub use dynaquar_topology::lazy::ROUTING_ENV;

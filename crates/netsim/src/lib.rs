@@ -74,7 +74,6 @@ pub use metrics::{
 };
 pub use plan::RateLimitPlan;
 pub use runner::{ParallelConfig, RunOutcome, RunTiming, RunnerError, SupervisorConfig, WorkerStats};
-pub use shard::ShardSpec;
 pub use sim::{SimResult, Simulator};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use strategy::SimStrategy;

@@ -16,9 +16,9 @@
 //! The supervisor wraps every seeded run in [`std::panic::catch_unwind`]:
 //! a run that panics (e.g. an injected fault from
 //! [`crate::faults::FaultPlan`], or a genuine bug on one seed) is retried
-//! with a fresh derived seed under capped exponential backoff, and
-//! dropped after [`SupervisorConfig::max_attempts`] failures instead of
-//! taking the whole batch down. [`AveragedResult::outcomes`] records what
+//! immediately with a fresh derived seed, and dropped after
+//! [`SupervisorConfig::max_attempts`] failures instead of taking the
+//! whole batch down. [`AveragedResult::outcomes`] records what
 //! happened to each seed, and [`AveragedResult::timings`] /
 //! [`AveragedResult::workers`] record per-run wall clock and per-worker
 //! utilization so ensemble speedup is observable;
@@ -113,7 +113,7 @@ pub struct RunTiming {
     pub seed: u64,
     /// Pool worker (0-based) that executed this seed's retry loop.
     pub worker: usize,
-    /// Wall-clock time spent on this seed (all attempts, any backoff).
+    /// Wall-clock time spent on this seed (all attempts).
     pub wall: Duration,
 }
 
@@ -199,49 +199,22 @@ impl fmt::Display for RunnerError {
 
 impl std::error::Error for RunnerError {}
 
-/// Retry and quorum policy for [`run_supervised`].
-#[derive(Debug, Clone, Copy)]
+/// Retry and quorum policy for [`run_supervised`]. A failed attempt is
+/// retried at once: the engine is CPU-only and deterministic per seed,
+/// so there is nothing to wait out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Attempts per seed before the run is dropped (minimum 1).
     pub max_attempts: u32,
     /// Minimum surviving runs for the batch to count (minimum 1).
     pub min_survivors: usize,
-    /// Base backoff slept after a failed attempt; doubles per attempt.
-    /// Zero (the default) retries immediately — simulation panics are
-    /// deterministic per seed, so waiting rarely helps, but callers
-    /// supervising flaky external resources can opt in.
-    pub backoff_base: Duration,
-    /// Upper bound on the backoff, whatever the attempt count.
-    pub backoff_cap: Duration,
-    /// How a backoff is actually waited out. Defaults to
-    /// [`std::thread::sleep`]; tests inject a recording no-op via
-    /// [`SupervisorConfig::with_sleeper`] so a nonzero backoff policy
-    /// never wall-clock sleeps in CI.
-    pub sleeper: fn(Duration),
 }
-
-/// Equality covers the retry *policy* only; the injected sleeper is an
-/// execution detail (and function-pointer identity is not meaningful
-/// across codegen units).
-impl PartialEq for SupervisorConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.max_attempts == other.max_attempts
-            && self.min_survivors == other.min_survivors
-            && self.backoff_base == other.backoff_base
-            && self.backoff_cap == other.backoff_cap
-    }
-}
-
-impl Eq for SupervisorConfig {}
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_attempts: 3,
             min_survivors: 1,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::from_millis(250),
-            sleeper: std::thread::sleep,
         }
     }
 }
@@ -257,29 +230,6 @@ impl SupervisorConfig {
     pub fn with_min_survivors(mut self, survivors: usize) -> Self {
         self.min_survivors = survivors;
         self
-    }
-
-    /// Sets the backoff base and cap.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// Replaces the function that waits out a backoff. Tests pass a
-    /// recording stub so retry schedules are asserted without sleeping.
-    pub fn with_sleeper(mut self, sleeper: fn(Duration)) -> Self {
-        self.sleeper = sleeper;
-        self
-    }
-
-    /// Backoff after the `attempt`-th failure: `base * 2^(attempt-1)`,
-    /// capped.
-    fn backoff_for(&self, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(1).min(16);
-        self.backoff_base
-            .saturating_mul(1u32 << doublings)
-            .min(self.backoff_cap)
     }
 }
 
@@ -373,10 +323,6 @@ where
                         },
                         None,
                     );
-                }
-                let backoff = supervisor.backoff_for(attempt);
-                if !backoff.is_zero() {
-                    (supervisor.sleeper)(backoff);
                 }
             }
         }
@@ -584,7 +530,7 @@ fn supervise_one_checkpointed(
 
     // No checkpoint landed before the crash (or the resume failed too):
     // fall back to the plain retry ladder from attempt 2, mirroring
-    // `supervise_one`'s backoff-then-reseed ordering.
+    // `supervise_one`'s reseed ordering.
     let budget = supervisor.max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
@@ -596,10 +542,6 @@ fn supervise_one_checkpointed(
                 },
                 None,
             );
-        }
-        let backoff = supervisor.backoff_for(attempt);
-        if !backoff.is_zero() {
-            (supervisor.sleeper)(backoff);
         }
         attempt += 1;
         let run_seed = derive_retry_seed(seed, attempt);
@@ -825,68 +767,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("quorum not reached"));
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let sup = SupervisorConfig::default()
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(25));
-        assert_eq!(sup.backoff_for(1), Duration::from_millis(10));
-        assert_eq!(sup.backoff_for(2), Duration::from_millis(20));
-        assert_eq!(sup.backoff_for(3), Duration::from_millis(25));
-        assert_eq!(sup.backoff_for(30), Duration::from_millis(25));
-    }
-
-    #[test]
-    fn injected_sleeper_sees_backoff_schedule_without_sleeping() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static SLEPT_NANOS: AtomicU64 = AtomicU64::new(0);
-        static CALLS: AtomicU64 = AtomicU64::new(0);
-        fn recording_sleeper(d: Duration) {
-            SLEPT_NANOS.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-            CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        SLEPT_NANOS.store(0, Ordering::Relaxed);
-        CALLS.store(0, Ordering::Relaxed);
-
-        let w = world();
-        let cfg = config();
-        // An hour-scale backoff: with a real sleep this test could never
-        // finish; with the injected sleeper it records and returns.
-        let sup = SupervisorConfig::default()
-            .with_max_attempts(3)
-            .with_backoff(Duration::from_secs(3600), Duration::from_secs(7200))
-            .with_sleeper(recording_sleeper);
-        let started = std::time::Instant::now();
-        let result = run_supervised_with_parallel(
-            &[11],
-            &sup,
-            &ParallelConfig::serial(),
-            |a: RunAttempt| {
-                if a.attempt < 3 {
-                    panic!("injected: fail twice");
-                }
-                Simulator::new(&w, &cfg, WormBehavior::random(), a.run_seed).run()
-            },
-        )
-        .expect("third attempt survives");
-        assert_eq!(result.runs.len(), 1);
-        // Two failures → two backoffs: 3600s then 7200s, recorded only.
-        assert_eq!(CALLS.load(Ordering::Relaxed), 2);
-        assert_eq!(
-            SLEPT_NANOS.load(Ordering::Relaxed),
-            Duration::from_secs(3600 + 7200).as_nanos() as u64
-        );
-        assert!(started.elapsed() < Duration::from_secs(60));
-    }
-
-    #[test]
-    fn supervisor_equality_ignores_sleeper() {
-        fn noop(_: Duration) {}
-        let a = SupervisorConfig::default();
-        let b = SupervisorConfig::default().with_sleeper(noop);
-        assert_eq!(a, b);
-        assert_ne!(a, SupervisorConfig::default().with_max_attempts(7));
     }
 
     #[test]

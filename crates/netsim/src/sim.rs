@@ -36,24 +36,14 @@ use crate::strategy::SimStrategy;
 use crate::streams::{host_stream_seed, immunization_u01};
 use crate::world::World;
 use dynaquar_epidemic::TimeSeries;
-use dynaquar_parallel::join_parts;
 use dynaquar_ratelimit::window::UniqueIpWindow;
 use dynaquar_ratelimit::{RateLimiter, RemoteKey};
-use dynaquar_topology::{EdgeId, NodeId};
+use dynaquar_topology::NodeId;
 use dynaquar_worms::scanner::{ScanContext, TargetSelector};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
-
-/// Work-size floors below which the sharded sweeps fall back to the
-/// serial path: spawning the shard threads costs tens of microseconds
-/// per tick, which only pays off once a phase has real work. Pure
-/// performance gates — the sharded and serial paths are bit-identical
-/// either way, so the thresholds never affect results.
-const SHARD_MIN_SCANNERS: usize = 256;
-const SHARD_MIN_UNPATCHED: usize = 4096;
-const SHARD_MIN_PACKETS: usize = 4096;
 
 /// Aggregate outcome of one simulation run.
 ///
@@ -140,9 +130,9 @@ pub struct Simulator<'w> {
     /// Per-host scan RNG streams, `Some` exactly where `selectors` is:
     /// each infected host draws its targets and β coin-flips from its
     /// own stream (seeded from `(seed, host)` at infection time — see
-    /// [`crate::streams`]), so which thread sweeps a host, and in what
-    /// company, cannot perturb any draw. This is the property that
-    /// makes the sharded scan sweep bit-identical to the serial one.
+    /// [`crate::streams`]), so a host's draws never depend on which
+    /// other hosts scanned before it. The engine fingerprints and
+    /// snapshot format v2 pin these streams.
     scan_rngs: Vec<Option<SmallRng>>,
     host_filter_cfg: Vec<Option<HostFilter>>,
     host_limiters: Vec<Option<UniqueIpWindow>>,
@@ -193,11 +183,6 @@ pub struct Simulator<'w> {
     /// The stepping strategy, already resolved against the world size
     /// (never [`SimStrategy::Auto`] after construction).
     strategy: SimStrategy,
-    /// Shard partition cut points over node-id space
-    /// (`shard_cuts.len() - 1` shards; `[0, n]` when serial) — see
-    /// [`crate::shard::shard_cuts`]. Like the strategy, a pure
-    /// performance knob: results are bit-identical for any shard count.
-    shard_cuts: Vec<u32>,
     /// Hosts with a non-empty throttle queue, sorted ascending — the
     /// event path's release/clear candidates. Maintained by every queue
     /// mutation (push, drain, clear) on both strategies.
@@ -385,7 +370,6 @@ impl<'w> Simulator<'w> {
             quarantined: 0,
             scan_log: Vec::new(),
             strategy: config.strategy().resolve(n),
-            shard_cuts: crate::shard::shard_cuts(world, config.shards().resolve()),
             queue_hosts: BTreeSet::new(),
             pending_hosts: BTreeSet::new(),
             patch_due,
@@ -450,7 +434,7 @@ impl<'w> Simulator<'w> {
             // proof obligation behind tick/event bit-identity.
             self.host_state.debug_assert_active_index();
             // Every active host carries both a selector and its own
-            // scan stream (the sharded sweep unwraps both).
+            // scan stream (`scan_from` unwraps both).
             for i in self.host_state.active_hosts() {
                 debug_assert!(
                     self.selectors[i as usize].is_some(),
@@ -679,39 +663,17 @@ impl<'w> Simulator<'w> {
         // One stateless Bernoulli hash per *unpatched* host: the sorted
         // index enumerates exactly the not-yet-immunized hosts in
         // ascending order, so the sweep costs O(unpatched) instead of
-        // the former O(hosts) carve-out — and because the draw is a
-        // pure function of (seed, tick, host) rather than a shared RNG
-        // stream, any shard may evaluate any host without perturbing
-        // the others.
+        // an O(hosts) pass over every host. The draw is a pure function
+        // of (seed, tick, host) rather than a shared RNG stream, so
+        // skipping the already-patched hosts cannot shift any other
+        // host's draw.
         let mu = imm.mu;
         let seed = self.seed;
-        let shards = self.shard_cuts.len() - 1;
-        let mut hits: Vec<u32> = Vec::new();
-        if shards > 1 && self.host_state.unpatched() >= SHARD_MIN_UNPATCHED {
-            let mut parts: Vec<(std::ops::Range<u32>, Vec<u32>)> = self
-                .shard_cuts
-                .windows(2)
-                .map(|w| (w[0]..w[1], Vec::new()))
-                .collect();
-            let host_state = &self.host_state;
-            join_parts(&mut parts, |_, (range, out)| {
-                for h in host_state.unpatched_hosts_in(range.clone()) {
-                    if immunization_u01(seed, tick, h) < mu {
-                        out.push(h);
-                    }
-                }
-            });
-            // Ascending shard ranges concatenate to ascending host ids.
-            for (_, out) in parts {
-                hits.extend(out);
-            }
-        } else {
-            hits.extend(
-                self.host_state
-                    .unpatched_hosts()
-                    .filter(|&h| immunization_u01(seed, tick, h) < mu),
-            );
-        }
+        let hits: Vec<u32> = self
+            .host_state
+            .unpatched_hosts()
+            .filter(|&h| immunization_u01(seed, tick, h) < mu)
+            .collect();
         for h in hits {
             let i = h as usize;
             self.host_state.immunize_unpatched(i);
@@ -722,10 +684,9 @@ impl<'w> Simulator<'w> {
     }
 
     fn generate_scans(&mut self, tick: u64, observer: &mut dyn SimObserver) {
-        // Stage A: collect `(scanner, target)` emissions — serial or
-        // sharded, always in ascending scanner order. Stage B below
-        // (ledger, filters, quarantine, packet insertion) stays serial:
-        // it is cheap per emission and order-sensitive by design.
+        // Stage A: collect `(scanner, target)` emissions in ascending
+        // scanner order. Stage B below (ledger, filters, quarantine,
+        // packet insertion) is order-sensitive by design.
         let emissions = self.collect_scan_emissions();
         for (src, dst) in emissions {
             // Every post-β emission enters the ledger, *before* the
@@ -819,17 +780,11 @@ impl<'w> Simulator<'w> {
     }
 
     /// Collects this tick's `(scanner, target)` emissions in ascending
-    /// scanner id order. Three equivalent paths — the event path
-    /// (sorted active index), the tick path (dense host sweep), and the
-    /// sharded path (per-range sweeps merged in range order) — visit
-    /// the same scanners in the same order, and every per-host draw
-    /// comes from that host's own stream, so all three are
-    /// bit-identical.
+    /// scanner id order. The two paths — the event path (sorted active
+    /// index) and the tick path (dense host sweep) — visit the same
+    /// scanners in the same order, and every per-host draw comes from
+    /// that host's own stream, so both are bit-identical.
     fn collect_scan_emissions(&mut self) -> Vec<(NodeId, NodeId)> {
-        let shards = self.shard_cuts.len() - 1;
-        if shards > 1 && self.host_state.infected() >= SHARD_MIN_SCANNERS {
-            return self.collect_scan_emissions_sharded();
-        }
         let mut emissions: Vec<(NodeId, NodeId)> = Vec::new();
         if self.strategy == SimStrategy::Event {
             // Event path: enumerate the sorted active index instead of
@@ -862,88 +817,8 @@ impl<'w> Simulator<'w> {
         emissions
     }
 
-    /// The sharded stage-A sweep: each shard walks its own contiguous
-    /// node-id range of the active index with mutable views of exactly
-    /// its slice of the selector and scan-stream tables, then the
-    /// per-shard emission lists are concatenated in ascending range
-    /// order — which *is* ascending scanner order, the serial order.
-    fn collect_scan_emissions_sharded(&mut self) -> Vec<(NodeId, NodeId)> {
-        struct ShardPart<'a> {
-            /// Infected, not-down node ids in this shard's range, ascending.
-            candidates: Vec<u32>,
-            /// Node-id offset of the two slices below.
-            base: u32,
-            selectors: &'a mut [Option<Box<dyn TargetSelector>>],
-            rngs: &'a mut [Option<SmallRng>],
-            out: Vec<(NodeId, NodeId)>,
-        }
-
-        let world = self.world;
-        let scans_per_tick = self.behavior.scans_per_tick;
-        let beta = self.config.beta();
-        let mut parts: Vec<ShardPart<'_>> = Vec::with_capacity(self.shard_cuts.len() - 1);
-        {
-            let mut sel_rest: &mut [Option<Box<dyn TargetSelector>>] = &mut self.selectors;
-            let mut rng_rest: &mut [Option<SmallRng>] = &mut self.scan_rngs;
-            let mut offset = 0u32;
-            for w in self.shard_cuts.windows(2) {
-                let (lo, hi) = (w[0], w[1]);
-                let (sel, s_rest) = sel_rest.split_at_mut((hi - offset) as usize);
-                let (rngs, r_rest) = rng_rest.split_at_mut((hi - offset) as usize);
-                sel_rest = s_rest;
-                rng_rest = r_rest;
-                let candidates: Vec<u32> = self
-                    .host_state
-                    .active_hosts_in(lo..hi)
-                    .filter(|&i| !self.node_down[i as usize])
-                    .collect();
-                parts.push(ShardPart {
-                    candidates,
-                    base: offset,
-                    selectors: sel,
-                    rngs,
-                    out: Vec::new(),
-                });
-                offset = hi;
-            }
-        }
-        join_parts(&mut parts, |_, part| {
-            let ctx_hosts = world.hosts();
-            let ctx_subnet_of = world.subnet_of();
-            let ctx_subnet_hosts = world.subnet_hosts();
-            for &i in &part.candidates {
-                let node = NodeId::from(i as usize);
-                let ctx = ScanContext {
-                    scanner: node,
-                    hosts: ctx_hosts,
-                    subnet_of: ctx_subnet_of,
-                    subnet_hosts: ctx_subnet_hosts,
-                };
-                let local = (i - part.base) as usize;
-                let selector = part.selectors[local]
-                    .as_mut()
-                    .expect("infected nodes have selectors");
-                let rng = part.rngs[local]
-                    .as_mut()
-                    .expect("infected nodes have scan streams");
-                for _ in 0..scans_per_tick {
-                    if let Some(target) = selector.next_target(&ctx, rng) {
-                        if target != node && rng.gen_bool(beta) {
-                            part.out.push((node, target));
-                        }
-                    }
-                }
-            }
-        });
-        let mut emissions = Vec::with_capacity(parts.iter().map(|p| p.out.len()).sum());
-        for part in parts {
-            emissions.extend(part.out);
-        }
-        emissions
-    }
-
     /// Draws `scans_per_tick` targets for one infected scanner and
-    /// appends its post-β emissions (shared by both serial strategies —
+    /// appends its post-β emissions (shared by both strategies —
     /// every draw comes from the scanner's own stream).
     fn scan_from(&mut self, node: NodeId, emissions: &mut Vec<(NodeId, NodeId)>) {
         let ctx = ScanContext {
@@ -1060,46 +935,6 @@ impl<'w> Simulator<'w> {
         }
     }
 
-    /// Sharded `(next hop, edge)` precomputation for every packet in
-    /// this tick's FIFO, in queue order — `None` per unroutable packet,
-    /// `None` overall when the serial inline lookup is cheaper (few
-    /// packets or one shard). Must run before `start_drain` swaps the
-    /// queue away.
-    fn precompute_hops(&self) -> Option<Vec<Option<(NodeId, EdgeId)>>> {
-        let shards = self.shard_cuts.len() - 1;
-        if shards < 2 || self.packets.queued() < SHARD_MIN_PACKETS {
-            return None;
-        }
-        let pairs: Vec<(NodeId, NodeId)> = self
-            .packets
-            .iter_queued()
-            .map(|p| (p.current, p.dst))
-            .collect();
-        let graph = self.world.graph();
-        let routing = self.world.routing();
-        let chunk = pairs.len().div_ceil(shards);
-        type HopPart<'a> = (&'a [(NodeId, NodeId)], Vec<Option<(NodeId, EdgeId)>>);
-        let mut parts: Vec<HopPart> = pairs
-            .chunks(chunk)
-            .map(|c| (c, Vec::with_capacity(c.len())))
-            .collect();
-        join_parts(&mut parts, |_, (chunk, out)| {
-            for &(current, dst) in chunk.iter() {
-                out.push(routing.next_hop(current, dst).map(|next| {
-                    let edge = graph
-                        .edge_between(current, next)
-                        .expect("next hop is adjacent");
-                    (next, edge)
-                }));
-            }
-        });
-        let mut hops = Vec::with_capacity(pairs.len());
-        for (_, out) in parts {
-            hops.extend(out);
-        }
-        Some(hops)
-    }
-
     fn forward_packets(&mut self, tick: u64, observer: &mut dyn SimObserver) {
         let graph = self.world.graph();
         let routing = self.world.routing();
@@ -1118,30 +953,17 @@ impl<'w> Simulator<'w> {
             let cap = self.node_caps[i].expect("capped-node index entries have caps");
             self.node_tokens[i] = (self.node_tokens[i] + cap).min(cap.max(1.0));
         }
-        // Next-hop lookups are pure functions of (routing, current,
-        // dst), so on busy ticks the shards precompute them for the
-        // whole FIFO up front; the serial drain below then consumes
-        // them in queue order — bit-identical to looking them up inline.
-        let precomputed = self.precompute_hops();
-        let mut hop_cursor = 0usize;
         // Drain this tick's FIFO through the pool's recycled scratch
         // queue: retained packets re-queue in order, finished packets
         // return their slot to the free-list — no per-tick allocation.
         self.packets.start_drain();
         while let Some((slot, mut p)) = self.packets.next_drained() {
-            let hop = match &precomputed {
-                Some(hops) => {
-                    let h = hops[hop_cursor];
-                    hop_cursor += 1;
-                    h
-                }
-                None => routing.next_hop(p.current, p.dst).map(|next| {
-                    let edge = graph
-                        .edge_between(p.current, next)
-                        .expect("next hop is adjacent");
-                    (next, edge)
-                }),
-            };
+            let hop = routing.next_hop(p.current, p.dst).map(|next| {
+                let edge = graph
+                    .edge_between(p.current, next)
+                    .expect("next hop is adjacent");
+                (next, edge)
+            });
             let Some((next, edge)) = hop else {
                 // Unroutable (disconnected topology): the packet leaves
                 // the network, and the ledger says so.

@@ -9,8 +9,8 @@
 //! robustness contract is **bit-identity**: run to tick `T`, snapshot,
 //! resume, and the final [`SimResult`] *and* the concatenated observer
 //! JSONL are byte-identical to the uninterrupted run — under both
-//! stepping strategies, both routing backends, any thread count, and
-//! any shard count (see `crates/netsim/tests/snapshot_equivalence.rs`).
+//! stepping strategies, every routing backend, and any thread count
+//! (see `crates/netsim/tests/snapshot_equivalence.rs`).
 //!
 //! # On-disk format (version 2)
 //!
@@ -222,10 +222,10 @@ pub(crate) fn world_fingerprint(world: &World) -> u64 {
 
 /// Fingerprint of the simulated semantics of `(config, behavior)`.
 ///
-/// Deliberately excludes the stepping strategy and the shard count
-/// (both are pure performance knobs with bit-identical results, so
-/// resuming under a different one is legitimate) and the checkpoint
-/// policy (where checkpoints land does not change what is simulated).
+/// Deliberately excludes the stepping strategy (a pure performance
+/// knob with bit-identical results, so resuming under the other one is
+/// legitimate) and the checkpoint policy (where checkpoints land does
+/// not change what is simulated).
 /// `Debug` renderings are stable for the plain data these types hold.
 pub(crate) fn config_fingerprint(config: &SimConfig, behavior: &WormBehavior) -> u64 {
     let repr = format!(

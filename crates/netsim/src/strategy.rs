@@ -15,7 +15,9 @@
 //! id and every tick-path sweep visits hosts in that same order while
 //! merely *skipping* inactive ones, enumerating the identical candidate
 //! subset from a sorted index reproduces the exact RNG draw sequence
-//! and side-effect order. The two strategies are therefore
+//! and side-effect order; each scanner also draws from its own per-host
+//! stream (see `netsim::streams`), so its targets never depend on which
+//! other hosts the sweep visited. The two strategies are therefore
 //! **bit-identical** — an equivalence pinned by the differential suite
 //! in `crates/netsim/tests/engine_equivalence.rs` and the strategy pins
 //! in `crates/netsim/tests/engine_fingerprints.rs`. The immunization

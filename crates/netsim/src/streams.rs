@@ -1,30 +1,34 @@
-//! Shard-independent random streams.
+//! Order-independent random streams.
 //!
-//! The sharded engine runs per-host work (target draws, immunization
-//! Bernoullis) on multiple threads inside one simulated world. That is
-//! only bit-identical to the serial engine if no random draw depends on
-//! *which other hosts* drew before it — a single shared RNG stream
-//! bakes the enumeration order into every value it hands out. The
-//! engine therefore derives all per-host randomness from the run seed
-//! through the mixers in this module:
+//! The engine has two ways to enumerate the hosts of a phase: the tick
+//! strategy sweeps every host, the event strategy walks sorted activity
+//! indexes, and the immunization sweep skips hosts that are already
+//! patched. Those paths stay bit-identical only if no random draw
+//! depends on *which other hosts* drew before it — a single shared RNG
+//! stream bakes the enumeration order into every value it hands out.
+//! The engine therefore derives all per-host randomness from the run
+//! seed through the mixers in this module:
 //!
 //! * **Scan streams**: each host gets a private `SmallRng` seeded from
 //!   [`host_stream_seed`] the moment it becomes infected. Every target
 //!   and β draw the host ever makes comes from that stream, so its draw
-//!   sequence is a pure function of `(seed, host)` — independent of
-//!   shard count, shard assignment, and the fates of other hosts.
+//!   sequence is a pure function of `(seed, host)` — independent of the
+//!   enumeration path and of the fates of other hosts.
 //! * **Immunization draws**: one *stateless* hash Bernoulli per
 //!   `(seed, tick, host)` via [`immunization_u01`]. No stream to
-//!   advance means no ordering constraint at all: shards can evaluate
-//!   their candidate ranges concurrently and the serial engine gets the
-//!   same verdicts enumerating ascending ids.
+//!   advance means no ordering constraint at all, which is what lets
+//!   the sweep enumerate only the unpatched hosts — O(unpatched) per
+//!   tick instead of a pass over every host.
+//!
+//! Both are pinned by the engine fingerprints and the snapshot format
+//! (per-host streams are snapshot section `SEC_SCANRNG`), so they stay
+//! even though nothing splits one world across threads any more.
 //!
 //! The shared `Simulator::rng` stream survives only where ordering is
-//! inherently serial and shard-independent: seeding the initial
-//! infections at construction and injecting background flows (a serial
-//! phase). Fault draws stay on their own `fault_rng` stream, untouched
-//! — they happen in serial commit sections whose input order is already
-//! shard-invariant.
+//! inherently serial: seeding the initial infections at construction
+//! and injecting background flows. Fault draws stay on their own
+//! `fault_rng` stream, in phases whose input order is the same on both
+//! strategies.
 //!
 //! All mixing is SplitMix64 — the same finalizer `SmallRng::seed_from_u64`
 //! uses for state expansion, well past the statistical quality needed

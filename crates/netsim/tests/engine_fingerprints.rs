@@ -9,13 +9,12 @@
 //! digits round-trips every f64, so a match here is a bit-identity
 //! match.
 //!
-//! Re-pinned once for the sharding-ready RNG discipline: scan draws
+//! Re-pinned once for the order-independent RNG discipline: scan draws
 //! now come from per-host streams seeded at infection time and
 //! immunization draws from a stateless per-`(tick, host)` hash, so a
 //! host's randomness no longer depends on which other hosts exist or
-//! which shard sweeps it. The new values are the engine's permanent
-//! fingerprint — `DYNAQUAR_SHARDS` at any count must reproduce them
-//! bit for bit (CI runs this suite under a sharded leg).
+//! in which order a sweep visits them. The new values are the engine's
+//! permanent fingerprint.
 //!
 //! Every fingerprinted world now runs under **both stepping
 //! strategies** ([`STRATEGIES`]): the event-driven engine must
@@ -428,9 +427,8 @@ fn subnet_20k_is_bit_identical_across_routing_and_strategies() {
 /// An immunization-dominated run: µ kicks in at tick 2 on a ~6k-host
 /// subnet world, so nearly every tick sweeps thousands of unpatched
 /// hosts. This is the workload the O(hosts) immunization carve-out
-/// used to burn — the pin now rides on the sorted unpatched index
-/// (serial) and the per-shard hash evaluation (sharded CI leg), both
-/// of which must enumerate hits in ascending host id exactly.
+/// used to burn — the pin now rides on the sorted unpatched index,
+/// which must enumerate hits in ascending host id exactly.
 fn immunization_heavy_run(strategy: SimStrategy) -> SimResult {
     let topo = generators::SubnetTopologyBuilder::new()
         .backbone_routers(8)

@@ -1,9 +1,9 @@
 //! One shared grammar for `DYNAQUAR_*` environment overrides.
 //!
 //! Every knob the simulator reads from the environment — worker count,
-//! stepping strategy, routing backend, shard count — used to parse its
-//! variable with its own ad-hoc code, and the warning behaviour on a
-//! typo'd value drifted between call sites. [`env_override`] is the one
+//! stepping strategy, routing backend — used to parse its variable with
+//! its own ad-hoc code, and the warning behaviour on a typo'd value
+//! drifted between call sites. [`env_override`] is the one
 //! funnel: unset and empty values defer silently, values the caller
 //! maps to [`EnvParse::Default`] (like an explicit `auto`) defer
 //! silently, and anything else earns exactly one process-wide warning

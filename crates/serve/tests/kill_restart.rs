@@ -275,6 +275,59 @@ fn corrupt_spec_fails_the_job_with_a_typed_error_not_a_panic() {
     let _ = std::fs::remove_dir_all(&state);
 }
 
+/// `spec` with the retired `"shards": "auto"` key that every canonical
+/// spec emitted while intra-world sharding existed carries.
+fn with_retired_shards_key(spec: Value) -> Value {
+    let Value::Object(mut entries) = spec else {
+        unreachable!("specs are objects")
+    };
+    entries.push(("shards".into(), Value::Str("auto".into())));
+    Value::Object(entries)
+}
+
+/// A ledger written before sharding was removed: the spec of every job
+/// carries `"shards": "auto"`. The key is ignored, so a finished job
+/// keeps serving its result and a mid-flight one resumes bit-identically.
+#[test]
+fn old_ledger_with_the_retired_shards_key_keeps_serving() {
+    let state = temp_dir("oldshards");
+    fabricate_midflight_ledger(&state);
+    JobDir::new(state.join("jobs").join("job-1"))
+        .write_spec(&with_retired_shards_key(star_spec()))
+        .unwrap();
+
+    let (direct_result, direct_stream) = direct_run(&star_spec());
+    let done = JobDir::new(state.join("jobs").join("job-2"));
+    std::fs::create_dir_all(done.root()).unwrap();
+    done.write_spec(&with_retired_shards_key(star_spec())).unwrap();
+    let done_meta = JobMeta {
+        id: "job-2".into(),
+        status: JobStatus::Done,
+        checkpoint_every: Some(10),
+        forked_from: None,
+    };
+    done.write_meta(&done_meta).unwrap();
+    std::fs::write(done.events_path(), &direct_stream).unwrap();
+    std::fs::write(done.result_path(), result_to_json(&direct_result)).unwrap();
+
+    let daemon = Daemon::open(ServeConfig::new(&state)).unwrap();
+    assert!(
+        daemon.recovery_notes().iter().all(|n| n.note.contains("resuming")),
+        "an old but intact ledger must only report the resume"
+    );
+    daemon.wait("job-2").unwrap();
+    assert_eq!(daemon.result_json("job-2").unwrap(), result_to_json(&direct_result));
+    assert_eq!(done.read_meta().unwrap(), done_meta, "finished job's meta was rewritten");
+
+    daemon.wait("job-1").unwrap();
+    assert_eq!(daemon.result_json("job-1").unwrap(), result_to_json(&direct_result));
+    let mut stream = Vec::new();
+    pump_stream(daemon.subscribe("job-1").unwrap(), &mut stream).unwrap();
+    assert_eq!(stream, direct_stream, "stitched resume stream diverged");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
 #[test]
 fn corrupt_meta_restarts_the_job_fresh_with_a_note() {
     let state = temp_dir("badmeta");

@@ -1,6 +1,6 @@
 //! Property tests for the deterministic parallel runner: thread count
 //! must never leak into results — and neither must the stepping
-//! strategy, nor the intra-world shard count.
+//! strategy or the routing backend.
 //!
 //! The contract under test (see `dynaquar_netsim::runner`): because each
 //! seeded run derives all of its randomness from its own seed and results
@@ -25,16 +25,13 @@ use dynaquar::netsim::runner::{
 };
 use dynaquar::netsim::sim::SimResult;
 use dynaquar::netsim::strategy::SimStrategy;
-use dynaquar::netsim::{ShardSpec, Simulator, Snapshot, World};
+use dynaquar::netsim::{Simulator, World};
 use dynaquar::topology::generators;
 use dynaquar::topology::lazy::RoutingKind;
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const STRATEGIES: [SimStrategy; 2] = [SimStrategy::Tick, SimStrategy::Event];
-/// Shard counts swept by the intra-world tests: serial, even splits,
-/// and a ragged count that cannot divide the subnet blocks evenly.
-const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 7];
 
 fn world() -> World {
     World::from_star(generators::star(49).expect("valid star"))
@@ -210,16 +207,14 @@ fn dropped_runs_are_thread_count_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Intra-world sharding: DYNAQUAR_SHARDS splits a single world's phase
-// sweeps across cores, and the shard count must be as invisible as the
-// worker-thread count above — same SimResult, same observer bytes.
+// A single busy world: the stepping strategy and the routing backend
+// must be as invisible as the worker-thread count above — same
+// SimResult, same observer bytes.
 // ---------------------------------------------------------------------
 
-/// A subnet world big enough that an epidemic crosses the engine's
-/// sharded-sweep threshold (≥ 256 simultaneously infected hosts), so
-/// the sharded stage-A path actually runs rather than falling back to
-/// the serial sweep.
-fn sharded_world(routing: RoutingKind) -> World {
+/// A subnet world busy enough that hundreds of hosts are infected at
+/// once, so every engine phase carries real work.
+fn busy_world(routing: RoutingKind) -> World {
     World::from_subnets_with(
         generators::SubnetTopologyBuilder::new()
             .backbone_routers(2)
@@ -231,15 +226,10 @@ fn sharded_world(routing: RoutingKind) -> World {
     )
 }
 
-/// A busy sharded config: throttling filters feed the packet queues and
-/// a quarantine threshold keeps state transitions flowing, so every
+/// A busy config: throttling filters feed the packet queues and a
+/// quarantine threshold keeps state transitions flowing, so every
 /// engine phase (scan, forward, detect, immunize) is exercised.
-fn sharded_config(
-    world: &World,
-    shards: u32,
-    strategy: SimStrategy,
-    faults: FaultPlan,
-) -> SimConfig {
+fn busy_config(world: &World, strategy: SimStrategy, faults: FaultPlan) -> SimConfig {
     let hosts = world.hosts().to_vec();
     let mut plan = RateLimitPlan::none();
     plan.filter_hosts(&hosts, HostFilter::delaying(200, 2, 10));
@@ -256,7 +246,6 @@ fn sharded_config(
         })
         .faults(faults)
         .strategy(strategy)
-        .shards(ShardSpec::Fixed(shards))
         .build()
         .expect("valid config")
 }
@@ -276,12 +265,12 @@ fn observed_run(world: &World, cfg: &SimConfig, seed: u64) -> (SimResult, Vec<u8
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The tentpole invariant: a single world stepped under any shard
-    /// count, stepping strategy, routing backend, and fault plan
+    /// A single busy world stepped under either strategy, on the hier
+    /// or the dense routing backend, with or without a fault plan,
     /// produces the same `SimResult` **and the same observer bytes** as
-    /// the serial tick run. Sharding is a pure performance knob.
+    /// the tick run on hier routing.
     #[test]
-    fn single_runs_are_shard_count_invariant(
+    fn busy_world_runs_match_across_strategy_and_routing(
         seed in 0u64..500,
         with_faults in proptest::bool::ANY,
     ) {
@@ -294,108 +283,24 @@ proptest! {
         } else {
             FaultPlan::none()
         };
-        let serial_world = sharded_world(RoutingKind::Hier);
-        let serial_cfg = sharded_config(&serial_world, 1, SimStrategy::Tick, faults.clone());
+        let serial_world = busy_world(RoutingKind::Hier);
+        let serial_cfg = busy_config(&serial_world, SimStrategy::Tick, faults.clone());
         let (baseline, baseline_stream) = observed_run(&serial_world, &serial_cfg, seed);
         for routing in [RoutingKind::Hier, RoutingKind::Dense] {
-            let world = sharded_world(routing);
+            let world = busy_world(routing);
             for strategy in STRATEGIES {
-                for shards in SHARD_COUNTS {
-                    let cfg = sharded_config(&world, shards, strategy, faults.clone());
-                    let (result, stream) = observed_run(&world, &cfg, seed);
-                    prop_assert_eq!(
-                        &baseline, &result,
-                        "shards = {} strategy = {} routing = {:?}", shards, strategy, routing
-                    );
-                    prop_assert_eq!(
-                        &baseline_stream, &stream,
-                        "observer stream diverged: shards = {} strategy = {} routing = {:?}",
-                        shards, strategy, routing
-                    );
-                }
+                let cfg = busy_config(&world, strategy, faults.clone());
+                let (result, stream) = observed_run(&world, &cfg, seed);
+                prop_assert_eq!(
+                    &baseline, &result,
+                    "strategy = {} routing = {:?}", strategy, routing
+                );
+                prop_assert_eq!(
+                    &baseline_stream, &stream,
+                    "observer stream diverged: strategy = {} routing = {:?}",
+                    strategy, routing
+                );
             }
         }
-    }
-
-    /// Snapshot under one shard count, resume under another: the
-    /// snapshot captures per-host streams, not shard layout, so a run
-    /// can change its shard count mid-flight (or migrate to a machine
-    /// with a different core count) and stay bit-identical — including
-    /// the concatenated observer stream.
-    #[test]
-    fn resume_across_shard_counts_is_bit_identical(
-        seed in 0u64..200,
-        split in 8u64..32,
-    ) {
-        let world = sharded_world(RoutingKind::Hier);
-        let serial_cfg = sharded_config(&world, 1, SimStrategy::Tick, FaultPlan::none());
-        let (baseline, baseline_stream) = observed_run(&world, &serial_cfg, seed);
-        for (snap_shards, resume_shards) in [(1, 4), (4, 1), (4, 7)] {
-            let snap_cfg = sharded_config(&world, snap_shards, SimStrategy::Tick, FaultPlan::none());
-            let resume_cfg =
-                sharded_config(&world, resume_shards, SimStrategy::Tick, FaultPlan::none());
-            let mut buf = Vec::new();
-            let snap = {
-                let mut writer = JsonlEventWriter::new(&mut buf);
-                let mut sim = Simulator::new(&world, &snap_cfg, WormBehavior::random(), seed);
-                sim.run_until(split, &mut writer);
-                let snap = sim.snapshot();
-                writer.finish().unwrap();
-                snap
-            };
-            let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("codec round-trip");
-            let result = {
-                let mut writer = JsonlEventWriter::new(&mut buf);
-                let sim = Simulator::resume(&world, &resume_cfg, WormBehavior::random(), &snap)
-                    .expect("shard count is not part of the config fingerprint");
-                let r = sim.run_observed(&mut writer);
-                writer.finish().unwrap();
-                r
-            };
-            prop_assert_eq!(
-                &baseline, &result,
-                "snapshot at {} shards, resumed at {}", snap_shards, resume_shards
-            );
-            prop_assert_eq!(
-                &baseline_stream, &buf,
-                "observer stream diverged: snapshot at {} shards, resumed at {}",
-                snap_shards, resume_shards
-            );
-        }
-    }
-}
-
-/// The immunization sweep crosses its own sharded threshold only above
-/// 4096 unpatched hosts; this world holds ~5k so the per-shard hash
-/// evaluation genuinely runs, and must pick the same hosts in the same
-/// ascending-id order as the serial sorted-index sweep.
-#[test]
-fn sharded_immunization_sweep_is_shard_count_invariant() {
-    let world = World::from_subnets(
-        generators::SubnetTopologyBuilder::new()
-            .backbone_routers(2)
-            .subnets(20)
-            .hosts_per_subnet(250)
-            .build()
-            .expect("valid subnet topology"),
-    );
-    let cfg = |shards: u32| {
-        SimConfig::builder()
-            .beta(0.7)
-            .horizon(25)
-            .initial_infected(8)
-            .immunization(ImmunizationConfig {
-                trigger: ImmunizationTrigger::AtTick(2),
-                mu: 0.05,
-            })
-            .shards(ShardSpec::Fixed(shards))
-            .build()
-            .expect("valid config")
-    };
-    let (baseline, baseline_stream) = observed_run(&world, &cfg(1), 41);
-    for shards in [2, 4, 7] {
-        let (result, stream) = observed_run(&world, &cfg(shards), 41);
-        assert_eq!(baseline, result, "shards = {shards}");
-        assert_eq!(baseline_stream, stream, "observer stream diverged at {shards} shards");
     }
 }
